@@ -24,7 +24,7 @@ class ProcrustesResult:
         r = np.asarray(self.rotation, dtype=float)
         object.__setattr__(self, "rotation", r)
         defect = r.T @ r - np.eye(r.shape[0])
-        if np.max(np.abs(defect)) > 1e-10:
+        if not np.max(np.abs(defect)) <= 1e-10:  # a NaN fails too
             raise ConfigError("rotation is not orthogonal (defect > 1e-10)")
 
 

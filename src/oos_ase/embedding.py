@@ -31,14 +31,15 @@ class Embedding:
     def __post_init__(self):
         positions = np.asarray(self.positions, dtype=float)
         object.__setattr__(self, "positions", positions)
-        if np.any(self.eig.values <= 0):
+        # both checks are written so that a NaN fails them
+        if not np.all(self.eig.values > 0):
             raise DegenerateSpectrumError(
                 "retained eigenvalues must be strictly positive"
             )
         expected = self.eig.vectors * np.sqrt(self.eig.values)
-        if positions.shape != expected.shape or np.max(
+        if positions.shape != expected.shape or not np.max(
             np.abs(positions - expected)
-        ) > 1e-12:
+        ) <= 1e-12:
             raise ConfigError("positions do not equal U * sqrt(S) within 1e-12")
         if self.source_order != positions.shape[0]:
             raise ConfigError("source_order does not match position count")

@@ -17,6 +17,12 @@ from .model import AdjacencyMatrix, EdgeVector, LatentDistribution
 
 EDGE_HEADER = "oos-ase graph n="
 
+# Largest graph order read_edge_list accepts. The header is checked before
+# anything is allocated. At this order the reader's bit buffer of n(n-1)/2
+# bytes takes 200 MB, and embedding the graph builds a dense n x n float64
+# matrix of 3.2 GB.
+MAX_ORDER = 20_000
+
 
 def fmt(x):
     """Canonical decimal form of a float: 17 significant digits."""
@@ -41,6 +47,10 @@ def read_edge_list(path):
             n = int(header[len(EDGE_HEADER):])
         except ValueError:
             raise FileFormatError(f"{path}: bad order in header {header!r}")
+        if not 1 <= n <= MAX_ORDER:
+            raise FileFormatError(
+                f"{path}: order {n} in header outside [1, {MAX_ORDER}]"
+            )
         dense_bits = np.zeros(n * (n - 1) // 2, dtype=np.uint8)
         for lineno, line in enumerate(fh, start=2):
             parts = line.split()
@@ -80,7 +90,10 @@ def read_matrix_csv(path):
                 raise FileFormatError(f"{path}:{lineno}: bad numeric row")
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise FileFormatError(f"{path}: empty or ragged matrix")
-    return np.asarray(rows)
+    m = np.asarray(rows)
+    if not np.isfinite(m).all():
+        raise FileFormatError(f"{path}: non-finite value in matrix")
+    return m
 
 
 def write_edge_vector(e, path):
@@ -128,8 +141,10 @@ def read_embedding(csv_path, sidecar_path):
         raise FileFormatError(f"{sidecar_path}: bad embedding sidecar ({exc})")
     if positions.shape[1] != d or values.shape[0] != d:
         raise FileFormatError(f"{sidecar_path}: dimension mismatch with positions")
-    if np.any(values <= 0):
-        raise FileFormatError(f"{sidecar_path}: eigenvalues must be positive")
+    if not (np.isfinite(values).all() and np.all(values > 0)):
+        raise FileFormatError(
+            f"{sidecar_path}: eigenvalues must be positive and finite"
+        )
     vectors = positions / np.sqrt(values)
     eig = EigenPairs(values=values, vectors=vectors)
     return Embedding(positions=positions, eig=eig, source_order=positions.shape[0])
@@ -226,7 +241,13 @@ def read_trials_csv(path, d):
         header = next(reader, None)
         if header is None or header[0] != "trial":
             raise FileFormatError(f"{path}: missing trials header")
+        width = 6 + 2 * d + d * d
         for row in reader:
+            if len(row) != width:
+                raise FileFormatError(
+                    f"{path}:{reader.line_num}: expected {width} fields, "
+                    f"got {len(row)}"
+                )
             trial, n, method, status, err = row[:5]
             off = 5
             wbar = row[off:off + d]
@@ -234,18 +255,21 @@ def read_trials_csv(path, d):
             rot = row[off + 2 * d:off + 2 * d + d * d]
             message = row[off + 2 * d + d * d]
             ok = status == "ok"
-            records.append(TrialRecord(
-                trial=int(trial),
-                n=int(n),
-                method=method,
-                status=status,
-                wbar=np.asarray([float(v) for v in wbar]) if ok else None,
-                w=np.asarray([float(v) for v in w]) if ok else None,
-                rotation=np.asarray([float(v) for v in rot]).reshape(d, d)
-                if ok else None,
-                aligned_error=float(err) if err else None,
-                message=message,
-            ))
+            try:
+                records.append(TrialRecord(
+                    trial=int(trial),
+                    n=int(n),
+                    method=method,
+                    status=status,
+                    wbar=np.asarray([float(v) for v in wbar]) if ok else None,
+                    w=np.asarray([float(v) for v in w]) if ok else None,
+                    rotation=np.asarray([float(v) for v in rot]).reshape(d, d)
+                    if ok else None,
+                    aligned_error=float(err) if err else None,
+                    message=message,
+                ))
+            except ValueError:
+                raise FileFormatError(f"{path}:{reader.line_num}: bad trial row")
     return records
 
 

@@ -1,15 +1,39 @@
-"""Dense numerical kernels: symmetric eigendecomposition, small SVD,
-least-squares. Everything here is a thin, contract-checked wrapper around
-LAPACK (via numpy/scipy); all outputs follow one deterministic sign
-convention so repeated runs agree bit-for-bit.
+"""Numerical kernels: top-k symmetric eigenpairs, small SVD, least-squares.
+Everything here is a thin, contract-checked wrapper around LAPACK or ARPACK
+(via numpy/scipy); all outputs follow one deterministic sign convention so
+repeated runs agree bit-for-bit.
+
+`top_eigs` is not only a dense kernel. An embedding needs the top d <= 3
+eigenpairs of an n x n matrix, and a dense `eigh` spends O(n^3) on all of
+them. From order LANCZOS_MIN_ORDER on, and for k at most
+n / LANCZOS_ORDER_PER_K, the pairs come from implicitly restarted Lanczos
+(ARPACK's `eigsh` over BLAS `dsymv`), which costs a few dozen
+matrix-vector products. With BLAS on one thread, on adjacency matrices of
+the mixture_2d preset and k = 2, Lanczos took 1.9 ms against 0.6 ms for
+`eigh` at n = 100, the two tied at n = 200, and Lanczos won from n = 256
+(1.5 ms against 2.5 ms); at n = 1000 it took 10 ms against 84 ms, at
+n = 4000 0.12 s against 5.5 s. One thread is the setting of the
+rate-sweep benchmark, whose smallest graphs have n = 100. Lanczos slows
+down when it must resolve eigenvalues inside the noise bulk, so it only
+pays while k is small against n: asking a rank-2 graph for k = 15 at
+n = 1000 took as long as `eigh` (89 ms). Everything else, and any ARPACK
+failure, takes the dense path, which also serves as the oracle in the
+tests.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
+import scipy.sparse.linalg
 
 from .errors import ConfigError, SingularityError
+
+# Lanczos is used when n >= LANCZOS_MIN_ORDER and k * LANCZOS_ORDER_PER_K <= n
+# (see the module docstring for the measurements behind both numbers).
+LANCZOS_MIN_ORDER = 256
+LANCZOS_ORDER_PER_K = 64
 
 # Columns are flipped so the largest-magnitude entry of each eigenvector /
 # singular vector is positive (ties broken by lowest index). Any orthogonal
@@ -17,10 +41,17 @@ from .errors import ConfigError, SingularityError
 # fixed convention costs nothing and buys reproducibility.
 SIGN_CONVENTION = "max-entry-positive"
 
+# Entries within this relative distance of a column's largest magnitude tie.
+# Noiseless block inputs have exactly tied entries, and which of them comes
+# out largest is decided by rounding, which differs between eigensolvers.
+SIGN_TIE_RTOL = 1e-9
+
 
 def _fix_signs(vectors):
     """Flip column signs in place-free fashion per SIGN_CONVENTION."""
-    idx = np.argmax(np.abs(vectors), axis=0)  # argmax takes the lowest index on ties
+    mag = np.abs(vectors)
+    tied = mag >= (1.0 - SIGN_TIE_RTOL) * mag.max(axis=0)
+    idx = np.argmax(tied, axis=0)  # argmax takes the lowest index on ties
     signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
     signs[signs == 0] = 1.0
     return vectors * signs
@@ -40,10 +71,11 @@ class EigenPairs:
         object.__setattr__(self, "vectors", vectors)
         if values.ndim != 1 or vectors.ndim != 2 or vectors.shape[1] != values.shape[0]:
             raise ConfigError("eigenpair shapes do not match")
-        if values.shape[0] > 1 and np.any(np.diff(values) > 0):
+        # both checks are written so that a NaN fails them
+        if not np.all(np.diff(values) <= 0):
             raise ConfigError("eigenvalues must be sorted descending")
         defect = vectors.T @ vectors - np.eye(values.shape[0])
-        if np.max(np.abs(defect)) > 1e-10:
+        if not np.max(np.abs(defect)) <= 1e-10:
             raise ConfigError("eigenvectors are not orthonormal (defect > 1e-10)")
 
     @property
@@ -57,8 +89,34 @@ class EigenPairs:
         return np.linalg.norm(r, axis=0)
 
 
+def _lanczos_top(m, k):
+    """Top-k pairs by ARPACK, ascending like `eigh`. The start vector and
+    the generator ARPACK draws restart vectors from are fixed, so a call
+    depends on m and k alone: ARPACK's default start is random, and a
+    low-rank m (noiseless P = X X^T) exhausts its Krylov space and forces
+    restarts."""
+    # BLAS symv reads one triangle, half the memory of a general product:
+    # at n = 1000 (BLAS on two threads) a solve took 5.5 ms against 20 ms
+    # with ndarray @ vector. Its upper triangle of m.T is the lower one of
+    # m, and m.T of a C-ordered m is already in Fortran order: no copy.
+    fortran = np.asfortranarray(m.T)
+    op = scipy.sparse.linalg.LinearOperator(
+        m.shape,
+        matvec=lambda x: scipy.linalg.blas.dsymv(1.0, fortran, x.ravel()),
+        dtype=float,
+    )
+    rng = np.random.Generator(np.random.Philox(0))
+    v0 = rng.standard_normal(m.shape[0])
+    vals, vecs = scipy.sparse.linalg.eigsh(op, k=k, which="LA", v0=v0, rng=rng)
+    order = np.argsort(vals, kind="stable")
+    return vals[order], vecs[:, order]
+
+
 def top_eigs(m, k):
     """Top-k algebraically largest eigenpairs of a symmetric matrix.
+
+    Uses Lanczos for large n and small k and dense `eigh` otherwise (see
+    the module docstring); both give the same contract below.
 
     Parameters
     ----------
@@ -83,8 +141,16 @@ def top_eigs(m, k):
         raise ConfigError(f"k={k} out of range for order {n}")
     if not np.isfinite(m).all():
         raise ConfigError("matrix contains non-finite entries")
-    vals, vecs = scipy.linalg.eigh(m, subset_by_index=[n - k, n - 1])
-    # eigh returns ascending order; we want descending
+    vals = None
+    if n >= LANCZOS_MIN_ORDER and k * LANCZOS_ORDER_PER_K <= n:
+        try:
+            vals, vecs = _lanczos_top(m, k)
+        except scipy.sparse.linalg.ArpackError:
+            # no convergence, or a breakdown such as the zero matrix
+            pass
+    if vals is None:
+        vals, vecs = scipy.linalg.eigh(m, subset_by_index=[n - k, n - 1])
+    # both paths return ascending order; we want descending
     vals = vals[::-1].copy()
     vecs = _fix_signs(vecs[:, ::-1])
     return EigenPairs(values=vals, vectors=vecs)

@@ -105,6 +105,13 @@ def _triu_size(n):
     return n * (n - 1) // 2
 
 
+def _triu_mask(n):
+    """Boolean n x n mask of the strict upper triangle. Boolean indexing
+    walks it in row-major order, the packed pair order of AdjacencyMatrix."""
+    idx = np.arange(n)
+    return idx[:, None] < idx
+
+
 class AdjacencyMatrix:
     """Symmetric hollow binary matrix stored as packed upper-triangle bits.
 
@@ -139,9 +146,7 @@ class AdjacencyMatrix:
             raise ConfigError("adjacency matrix must be symmetric")
         if np.any(np.diagonal(m) != 0):
             raise ConfigError("adjacency matrix must be hollow (zero diagonal)")
-        n = m.shape[0]
-        iu = np.triu_indices(n, k=1)
-        return cls(n, np.asarray(m[iu]))
+        return cls(m.shape[0], m[_triu_mask(m.shape[0])])
 
     def triu_bits(self):
         """Strict upper-triangle entries as a uint8 vector (row-major)."""
@@ -149,18 +154,18 @@ class AdjacencyMatrix:
 
     def to_dense(self, dtype=np.float64):
         out = np.zeros((self.n, self.n), dtype=dtype)
-        iu = np.triu_indices(self.n, k=1)
-        bits = self.triu_bits()
-        out[iu] = bits
-        out[(iu[1], iu[0])] = bits
+        mask, bits = _triu_mask(self.n), self.triu_bits()
+        out[mask] = bits
+        # the lower triangle through the transposed view: unlike
+        # out += out.T this needs no n x n temporary
+        out.T[mask] = bits
         return out
 
     def edges(self):
         """Edge list as an (m, 2) int array of pairs (i, j) with i < j."""
-        n = self.n
-        iu = np.triu_indices(n, k=1)
-        mask = self.triu_bits().astype(bool)
-        return np.column_stack((iu[0][mask], iu[1][mask]))
+        upper = np.zeros((self.n, self.n), dtype=bool)
+        upper[_triu_mask(self.n)] = self.triu_bits()
+        return np.argwhere(upper)
 
     def density(self):
         size = _triu_size(self.n)
@@ -227,8 +232,7 @@ def sample_adjacency(x, seed):
     n = rows.shape[0]
     gram = rows @ rows.T
     _check_probabilities(gram, "edge")
-    iu = np.triu_indices(n, k=1)
-    probs = gram[iu]
+    probs = gram[_triu_mask(n)]
     rng = as_generator(seed)
     bits = (rng.random(probs.shape[0]) < probs).astype(np.uint8)
     return AdjacencyMatrix(n, bits)

@@ -46,6 +46,12 @@ class OosEstimate:
         object.__setattr__(self, "w", w)
 
 
+# The interior ascent stops once the slope grad @ direction, about twice
+# the gain a Newton step predicts, is at most this many units of rounding
+# eps * |objective|.
+ROUNDING_SLOPE = 10.0
+
+
 @dataclass
 class SolverOptions:
     """Knobs for the ML Newton ascent. tol=None means 1e-8 * n."""
@@ -62,7 +68,8 @@ def _edge_values(a, n):
         vec = a.a.astype(float)
     else:
         vec = np.asarray(a, dtype=float).ravel()
-        if vec.size and (vec.min() < 0.0 or vec.max() > 1.0):
+        # min and max propagate NaN, so NaN fails the range test too
+        if vec.size and not (vec.min() >= 0.0 and vec.max() <= 1.0):
             raise ConfigError("edge values must lie in [0, 1]")
     if vec.shape[0] != n:
         raise ConfigError(f"edge vector length {vec.shape[0]} != embedding order {n}")
@@ -161,7 +168,13 @@ def ml_oos(emb, a, eps=0.05, opts=None):
     * convergence is declared when the gradient norm — or, with active
       constraints, the KKT-stationarity residual from a nonnegative
       least-squares fit of the gradient onto the active constraint
-      normals — drops below tol (default 1e-8 * n).
+      normals — drops below tol (default 1e-8 * n);
+    * in the interior it is also declared when the Newton slope
+      grad @ direction falls to ROUNDING_SLOPE * eps * |objective|: no
+      step can then raise the objective by more than a few units of its
+      rounding error.
+      The estimate then reports its gradient norm as it is, which may
+      exceed tol.
 
     Boundary maximizers are legal: the estimate may sit on the box with
     active constraints recorded in the diagnostics. An empty box raises
@@ -253,6 +266,12 @@ def ml_oos(emb, a, eps=0.05, opts=None):
             else:
                 direction = np.linalg.solve(hess, -grad)
         slope = float(grad @ direction)
+        rounding = np.finfo(float).eps * abs(value)
+        if not n_active and slope <= ROUNDING_SLOPE * rounding:
+            # the step's predicted gain is within the rounding of the
+            # objective, so Armijo can no longer tell ascent from noise and
+            # would only creep: w is a maximizer to working precision
+            break
         if slope <= 0.0:  # numerically possible only at (near-)stationarity
             raise NonConvergenceError(
                 "search direction is not an ascent direction",

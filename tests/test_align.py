@@ -75,6 +75,8 @@ def test_procrustes_shape_checks():
 def test_procrustes_result_validates_orthogonality():
     with pytest.raises(ConfigError, match="orthogonal"):
         ProcrustesResult(rotation=np.array([[1.0, 0.5], [0.0, 1.0]]), residual=0.0)
+    with pytest.raises(ConfigError, match="orthogonal"):
+        ProcrustesResult(rotation=np.full((2, 2), np.nan), residual=0.0)
 
 
 def test_clt_rotation_identity():

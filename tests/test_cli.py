@@ -110,6 +110,11 @@ def test_matrix_csv_read_errors(tmp_path):
     with pytest.raises(FileFormatError, match="empty or ragged"):
         io.read_matrix_csv(path)
 
+    for bad in ("nan", "inf", "-inf"):
+        path.write_text(f"1.0,2.0\n3.0,{bad}\n")
+        with pytest.raises(FileFormatError, match="non-finite value"):
+            io.read_matrix_csv(path)
+
 
 def test_edge_vector_round_trip(tmp_path):
     _, _, _, edges = _sample_fixture(40, 3)
@@ -161,9 +166,11 @@ def test_embedding_sidecar_errors(tmp_path):
     with pytest.raises(FileFormatError, match="dimension mismatch"):
         io.read_embedding(cpath, bad)
 
-    bad.write_text(json.dumps({"d": 2, "eigenvalues": [4.0, -1.0]}))
-    with pytest.raises(FileFormatError, match="eigenvalues must be positive"):
-        io.read_embedding(cpath, bad)
+    for values in ([4.0, -1.0], [4.0, float("nan")], [float("inf"), 1.0]):
+        bad.write_text(json.dumps({"d": 2, "eigenvalues": values}))
+        with pytest.raises(FileFormatError,
+                           match="eigenvalues must be positive and finite"):
+            io.read_embedding(cpath, bad)
 
 
 def test_distribution_round_trip(tmp_path):
@@ -223,6 +230,14 @@ def test_trials_csv_round_trip(tmp_path):
 
     p1.write_text("nope\n")
     with pytest.raises(FileFormatError, match="missing trials header"):
+        io.read_trials_csv(p1, 2)
+
+    header, first_row = p2.read_text().splitlines()[:2]
+    p1.write_text(f"{header}\n0,50\n")
+    with pytest.raises(FileFormatError, match=r":2: expected 14 fields, got 2"):
+        io.read_trials_csv(p1, 2)
+    p1.write_text(f"{header}\n{first_row.replace('0.25', 'x', 1)}\n")
+    with pytest.raises(FileFormatError, match=":2: bad trial row"):
         io.read_trials_csv(p1, 2)
 
 
@@ -329,6 +344,34 @@ def test_cli_missing_input_exit_5(tmp_path, capsys):
                "--n", "10", "--out", str(tmp_path / "x")])
     assert rc == 5
     assert "input not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("order", ["1000000000000", "-3", "0"])
+def test_cli_embed_header_order_out_of_range_exit_5(tmp_path, capsys, order):
+    # refused from the header alone, before a bit buffer of n(n-1)/2 bytes
+    # is allocated
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(f"oos-ase graph n={order}\n0 1\n")
+    rc = main(["embed", "--graph", str(gpath), "--dim", "1",
+               "--out", str(tmp_path / "e")])
+    assert rc == 5
+    assert f"order {order} in header outside [1, {io.MAX_ORDER}]" in (
+        capsys.readouterr().err
+    )
+
+
+def test_cli_oos_nonfinite_embedding_exit_5(tmp_path, capsys):
+    adj, _, _, edges = _sample_fixture(40, 3)
+    base = str(tmp_path / "e")
+    io.write_embedding(ase(adj, 2), base + ".csv", base + ".json")
+    io.write_edge_vector(edges, tmp_path / "a.csv")
+    lines = (tmp_path / "e.csv").read_text().splitlines()
+    lines[7] = "nan,nan"
+    (tmp_path / "e.csv").write_text("\n".join(lines) + "\n")
+    rc = main(["oos", "--embedding", base, "--edges", str(tmp_path / "a.csv"),
+               "--method", "ls"])
+    assert rc == 5
+    assert "non-finite value" in capsys.readouterr().err
 
 
 def test_cli_embed_degenerate_exit_3(tmp_path, capsys):

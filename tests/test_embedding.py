@@ -3,6 +3,8 @@ import pytest
 
 from oos_ase import (
     ConfigError,
+    EigenPairs,
+    Embedding,
     LatentDistribution,
     ase,
     augment,
@@ -77,6 +79,17 @@ def test_embedding_depends_only_on_gram():
 def test_degenerate_spectrum_raises():
     with pytest.raises(DegenerateSpectrumError):
         embed_matrix(np.zeros((5, 5)), 1)
+
+
+def test_embedding_invariants_reject_nan():
+    eig = EigenPairs(values=np.array([4.0, 1.0]), vectors=np.eye(3)[:, :2])
+    positions = eig.vectors * np.sqrt(eig.values)
+    positions[1, 1] = np.nan
+    with pytest.raises(ConfigError, match="U \\* sqrt\\(S\\)"):
+        Embedding(positions=positions, eig=eig, source_order=3)
+    nan_eig = EigenPairs(values=np.array([np.nan]), vectors=np.eye(3)[:, :1])
+    with pytest.raises(DegenerateSpectrumError, match="strictly positive"):
+        Embedding(positions=np.zeros((3, 1)), eig=nan_eig, source_order=3)
 
 
 def test_dimension_out_of_range():

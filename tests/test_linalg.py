@@ -1,11 +1,46 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oos_ase import ConfigError, EigenPairs, lstsq, svd_small, top_eigs
+from oos_ase import (
+    ConfigError,
+    EigenPairs,
+    LatentDistribution,
+    lstsq,
+    sample_adjacency,
+    sample_latents,
+    svd_small,
+    top_eigs,
+)
 from oos_ase.errors import SingularityError
-from oos_ase.linalg import _fix_signs
+from oos_ase.linalg import LANCZOS_MIN_ORDER, _fix_signs
+
+MIX = LatentDistribution(2, [((0.2, 0.7), 0.4), ((0.65, 0.3), 0.6)])
+
+
+def _dense_oracle(m, k):
+    """Top-k pairs from a full dense eigensolve, in top_eigs' conventions."""
+    vals, vecs = np.linalg.eigh(m)
+    return vals[::-1][:k], _fix_signs(vecs[:, ::-1][:, :k])
+
+
+@pytest.fixture
+def eigsh_calls(monkeypatch):
+    """Count the Lanczos solves top_eigs makes."""
+    calls = []
+    real = scipy.sparse.linalg.eigsh
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("k"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
+    return calls
 
 
 def test_top_eigs_identity():
@@ -49,6 +84,67 @@ def test_top_eigs_matches_full_eigensolve_on_gram_matrix():
     assert np.all(res <= 1e-8 * np.maximum(1.0, np.abs(pairs.values)))
 
 
+@pytest.mark.parametrize("n", [300, 1000])
+def test_top_eigs_lanczos_matches_dense_oracle(n, eigsh_calls):
+    m = sample_adjacency(sample_latents(MIX, n, seed=n), seed=n + 1).to_dense()
+    pairs = top_eigs(m, 2)
+    assert eigsh_calls[0] == 2  # the Lanczos path ran, not the dense one
+    vals, vecs = _dense_oracle(m, 2)
+    assert np.max(np.abs(pairs.values - vals)) <= 1e-10
+    assert np.max(np.abs(pairs.vectors - vecs)) <= 1e-8
+    # like the dense path, Lanczos reads only the lower triangle
+    lower = np.tril(m) + np.triu(np.full_like(m, 7.0), 1)
+    from_lower = top_eigs(lower, 2)
+    assert np.array_equal(from_lower.values, pairs.values)
+    assert np.array_equal(from_lower.vectors, pairs.vectors)
+
+
+def test_top_eigs_lanczos_balanced_two_block_noiseless(eigsh_calls):
+    # the second eigenvector is +-1/sqrt(n) by block: orthogonal to the
+    # all-ones vector, and every entry ties in magnitude with every other
+    x = np.array([[0.7, 0.2], [0.2, 0.7]])[np.repeat([0, 1], 300)]
+    p = x @ x.T
+    pairs = top_eigs(p, 2)
+    assert eigsh_calls == [2]
+    vals, vecs = _dense_oracle(p, 2)
+    assert np.allclose(vals, [300 * 0.81, 300 * 0.25], rtol=1e-12)
+    assert np.max(np.abs(pairs.values - vals)) <= 1e-10
+    assert np.max(np.abs(pairs.vectors - vecs)) <= 1e-8
+
+
+def test_top_eigs_lanczos_bitwise_repeatable(eigsh_calls):
+    m = sample_adjacency(sample_latents(MIX, 400, seed=5), seed=6).to_dense()
+    first, second = top_eigs(m, 2), top_eigs(m, 2)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        threaded = list(pool.map(lambda _: top_eigs(m, 2), range(4)))
+    assert len(eigsh_calls) == 6
+    for other in [second, *threaded]:
+        assert np.array_equal(first.values, other.values)
+        assert np.array_equal(first.vectors, other.vectors)
+
+
+def test_top_eigs_lanczos_failure_falls_back_to_dense(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("forced", [], [])
+
+    m = sample_adjacency(sample_latents(MIX, 300, seed=9), seed=10).to_dense()
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    pairs = top_eigs(m, 2)
+    dense_vals, _ = scipy.linalg.eigh(m, subset_by_index=[298, 299])
+    assert np.array_equal(pairs.values, dense_vals[::-1])
+    vals, vecs = _dense_oracle(m, 2)
+    assert np.max(np.abs(pairs.values - vals)) <= 1e-10
+    assert np.max(np.abs(pairs.vectors - vecs)) <= 1e-8
+
+
+def test_top_eigs_zero_matrix_above_crossover(eigsh_calls):
+    # ARPACK refuses the zero matrix (the start vector maps to zero); the
+    # dense path answers instead
+    pairs = top_eigs(np.zeros((LANCZOS_MIN_ORDER, LANCZOS_MIN_ORDER)), 1)
+    assert eigsh_calls == [1]
+    assert np.array_equal(pairs.values, [0.0])
+
+
 def test_top_eigs_rejects_nonfinite():
     m = np.eye(2)
     m[0, 1] = m[1, 0] = np.nan
@@ -68,6 +164,11 @@ def test_eigenpairs_type_rejects_unsorted_and_nonorthonormal():
         EigenPairs(values=np.array([1.0, 2.0]), vectors=np.eye(2))
     with pytest.raises(ConfigError):
         EigenPairs(values=np.array([2.0, 1.0]), vectors=np.array([[1.0, 1.0], [0.0, 1.0]]))
+    # NaN must fail the checks, not slip past a `> tol` comparison
+    with pytest.raises(ConfigError, match="orthonormal"):
+        EigenPairs(values=np.array([2.0, 1.0]), vectors=np.full((2, 2), np.nan))
+    with pytest.raises(ConfigError, match="sorted"):
+        EigenPairs(values=np.array([2.0, np.nan]), vectors=np.eye(2))
 
 
 def test_lstsq_identity_design():

@@ -23,6 +23,7 @@ from oos_ase import (
     sample_latents,
     sample_oos_edges,
 )
+from oos_ase.model import as_generator
 
 MIX = LatentDistribution(2, [((0.2, 0.7), 0.4), ((0.65, 0.3), 0.6)])
 
@@ -81,6 +82,17 @@ def test_lls_fixture_estimates_second_atom():
     est = lls_oos(emb, a)
     rot = procrustes(emb.positions, x.rows).rotation
     assert np.linalg.norm(rot.T @ est.w - MIX.points[1]) <= 0.15
+
+
+def test_edge_values_reject_nan_and_out_of_range():
+    _, emb = _mix_embedding(30, seed=76)
+    for bad in (np.nan, -0.5, 1.5, np.inf):
+        a = np.full(30, 0.5)
+        a[17] = bad
+        with pytest.raises(ConfigError, match=r"in \[0, 1\]"):
+            lls_oos(emb, a)
+        with pytest.raises(ConfigError, match=r"in \[0, 1\]"):
+            ml_oos(emb, a)
 
 
 def test_lls_length_mismatch():
@@ -257,6 +269,27 @@ def test_ml_iteration_budget_respected():
         ml_oos(emb, a, opts=SolverOptions(tol=1e-300, max_iter=3))
     assert exc.value.iterations == 3
     assert exc.value.last_w is not None
+
+
+def test_ml_stops_at_rounding_floor_under_tight_tolerance():
+    # At tol = 1e-13 n the interior ascent used to stall on some of these
+    # vertices: near the optimum Armijo compared gains below the rounding
+    # of a -650 objective, kept accepting steps that changed nothing and
+    # ran out its 500 iterations (projected gradients 1.6e-10..2.8e-8).
+    n = 1000
+    rng = as_generator(1)
+    lat = sample_latents(MIX, n + 20, rng)
+    x, held = lat.rows[:n], lat.rows[n:]
+    emb = ase(sample_adjacency(x, rng), 2)
+    for wbar in held:
+        a = sample_oos_edges(x, wbar, rng)
+        tight = ml_oos(emb, a, opts=SolverOptions(tol=1e-13 * n))
+        assert tight.iterations <= 10
+        assert np.max(np.abs(tight.w - ml_oos(emb, a).w)) <= 1e-10
+        # the reported gradient norm is the true one, even above tol
+        _, grad, _ = likelihood(emb, a, tight.w)
+        assert tight.active_constraints == 0
+        assert tight.grad_norm == float(np.linalg.norm(grad))
 
 
 def test_ml_feasibility_and_dominates_random_probes():
