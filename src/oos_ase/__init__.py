@@ -6,15 +6,12 @@ and a seeded Monte-Carlo harness for the asymptotics they satisfy.
 from .align import (
     ProcrustesResult,
     aligned_error,
-    clt_rotation,
-    latent_eigenpairs,
     procrustes,
 )
-from .embedding import Embedding, ase, embed_full, embed_matrix
+from .embedding import Embedding, ase, embed_matrix
 from .errors import (
     ConfigError,
     DegeneracyError,
-    DegenerateAlignmentError,
     DegenerateSpectrumError,
     FeasibilityError,
     FileFormatError,
@@ -64,7 +61,6 @@ __all__ = [
     "ClassifySpec",
     "ConfigError",
     "DegeneracyError",
-    "DegenerateAlignmentError",
     "DegenerateSpectrumError",
     "EdgeVector",
     "EigenPairs",
@@ -91,12 +87,9 @@ __all__ = [
     "chi2_quantile",
     "classify_error",
     "classify_threshold",
-    "clt_rotation",
     "delta",
-    "embed_full",
     "embed_matrix",
     "error_ratio_curve",
-    "latent_eigenpairs",
     "likelihood",
     "lls_oos",
     "lstsq",

@@ -87,12 +87,3 @@ def ase(a, d):
                           "for raw symmetric input)")
     return embed_matrix(a.to_dense(), d)
 
-
-def embed_full(atilde, d):
-    """Embedding of an augmented graph — the expensive in-sample baseline.
-
-    Identical computation to `ase`; a separate name because callers use it
-    on the bordered matrix where the last row(s) are the vertices that an
-    out-of-sample method would instead estimate from the fixed embedding.
-    """
-    return ase(atilde, d)

@@ -38,10 +38,6 @@ class DegenerateSpectrumError(DegeneracyError):
     """A retained eigenvalue is not strictly positive."""
 
 
-class DegenerateAlignmentError(DegeneracyError):
-    """Rank collapse in the eigenbasis overlap used for the CLT rotation."""
-
-
 class ThresholdError(DegeneracyError):
     """The classification density-ratio equation has no descending root."""
 

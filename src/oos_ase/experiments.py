@@ -11,13 +11,12 @@ persisted records alone).
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .align import latent_eigenpairs, procrustes
+from .align import aligned_error, procrustes
 from .embedding import ase, embed_matrix
 from .errors import ConfigError, OosAseError
 from .model import (
@@ -92,7 +91,6 @@ class TrialRecord:
     rotation: np.ndarray | None = None  # d x d, estimate frame -> truth frame
     aligned_error: float | None = None
     message: str = ""
-    wall_time: float = field(default=0.0, compare=False)  # in-memory only
 
 
 @dataclass
@@ -138,32 +136,42 @@ def _simulate_vertex(cfg, n, rng, wbar):
     return lat, emb, avec, wbar
 
 
-def _solve(cfg, emb, avec, method):
-    if method == "LS":
-        return lls_oos(emb, avec)
-    return ml_oos(emb, avec, eps=cfg.epsilon)
+def _run_trial(cfg, index, n, rng, wbar, methods):
+    """One trial: simulate a graph and a vertex, align the embedding to the
+    truth by Procrustes, then place the vertex by each method in turn. One
+    record per method: a failed simulation fails every record with its
+    message, a failed solve only its own."""
+    records, rot = [], None  # rot stays None until the simulation is done
+    for method in methods:
+        try:
+            if rot is None:
+                lat, emb, avec, wbar = _simulate_vertex(cfg, n, rng, wbar)
+                rot = procrustes(emb.positions, lat.rows)
+            if method == "LS":
+                est = lls_oos(emb, avec)
+            else:
+                est = ml_oos(emb, avec, eps=cfg.epsilon)
+            records.append(TrialRecord(
+                trial=index, n=n, method=method, status="ok", wbar=wbar,
+                w=est.w, rotation=rot.rotation,
+                aligned_error=aligned_error(est, rot, wbar),
+            ))
+        except OosAseError as exc:
+            failed = methods if rot is None else (method,)
+            records += [
+                TrialRecord(trial=index, n=n, method=m,
+                            status=type(exc).__name__, message=str(exc))
+                for m in failed
+            ]
+            if rot is None:
+                break
+    return records
 
 
 def _clt_trial(cfg, index):
-    n = cfg.n_grid[0]
     method = "LS" if cfg.study == "clt_ls" else "ML"
-    t0 = time.perf_counter()
     rng = _substream(cfg.master_seed, index)
-    try:
-        lat, emb, avec, wbar = _simulate_vertex(cfg, n, rng, cfg.wbar)
-        est = _solve(cfg, emb, avec, method)
-        rot = procrustes(emb.positions, lat.rows)
-        err = float(np.linalg.norm(rot.rotation.T @ est.w - wbar))
-        return TrialRecord(
-            trial=index, n=n, method=method, status="ok", wbar=wbar, w=est.w,
-            rotation=rot.rotation, aligned_error=err,
-            wall_time=time.perf_counter() - t0,
-        )
-    except OosAseError as exc:
-        return TrialRecord(
-            trial=index, n=n, method=method, status=type(exc).__name__,
-            message=str(exc), wall_time=time.perf_counter() - t0,
-        )
+    return _run_trial(cfg, index, cfg.n_grid[0], rng, cfg.wbar, (method,))[0]
 
 
 def summarize_clt(cfg, records):
@@ -237,38 +245,10 @@ def run_clt_study(cfg):
 
 def _rate_trial(cfg, key):
     ni, index = key
-    n = cfg.n_grid[ni]
     rng = _substream(cfg.master_seed, ni, index)
-    t0 = time.perf_counter()
     # rate sweeps fix w-bar to one atom to keep trial variance down
-    wbar_fixed = cfg.wbar if cfg.wbar is not None else cfg.dist.points[0]
-    try:
-        lat, emb, avec, wbar = _simulate_vertex(cfg, n, rng, wbar_fixed)
-        rot = procrustes(emb.positions, lat.rows)
-        out = []
-        for method in ("LS", "ML"):
-            try:
-                est = _solve(cfg, emb, avec, method)
-                err = float(np.linalg.norm(rot.rotation.T @ est.w - wbar))
-                out.append(TrialRecord(
-                    trial=index, n=n, method=method, status="ok", wbar=wbar,
-                    w=est.w, rotation=rot.rotation, aligned_error=err,
-                    wall_time=time.perf_counter() - t0,
-                ))
-            except OosAseError as exc:
-                out.append(TrialRecord(
-                    trial=index, n=n, method=method, status=type(exc).__name__,
-                    message=str(exc), wall_time=time.perf_counter() - t0,
-                ))
-        return out
-    except OosAseError as exc:
-        return [
-            TrialRecord(
-                trial=index, n=n, method=method, status=type(exc).__name__,
-                message=str(exc), wall_time=time.perf_counter() - t0,
-            )
-            for method in ("LS", "ML")
-        ]
+    wbar = cfg.wbar if cfg.wbar is not None else cfg.dist.points[0]
+    return _run_trial(cfg, index, cfg.n_grid[ni], rng, wbar, ("LS", "ML"))
 
 
 def summarize_rate(cfg, records):

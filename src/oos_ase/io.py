@@ -207,8 +207,8 @@ def _vec_fields(prefix, vec, d):
 
 
 def write_trials_csv(records, d, path):
-    """TrialRecords to CSV. Wall time is deliberately not persisted so that
-    reruns with different worker counts stay byte-identical."""
+    """TrialRecords to CSV. A record holds no timings, so reruns with
+    different worker counts stay byte-identical."""
     header = (
         ["trial", "n", "method", "status", "aligned_error"]
         + [f"wbar_{j}" for j in range(d)]

@@ -47,14 +47,14 @@ SIGN_CONVENTION = "max-entry-positive"
 SIGN_TIE_RTOL = 1e-9
 
 
-def _fix_signs(vectors):
-    """Flip column signs in place-free fashion per SIGN_CONVENTION."""
+def _column_signs(vectors):
+    """Per-column factors +-1 that put `vectors` in SIGN_CONVENTION."""
     mag = np.abs(vectors)
     tied = mag >= (1.0 - SIGN_TIE_RTOL) * mag.max(axis=0)
     idx = np.argmax(tied, axis=0)  # argmax takes the lowest index on ties
     signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
     signs[signs == 0] = 1.0
-    return vectors * signs
+    return signs
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,8 @@ def top_eigs(m, k):
         vals, vecs = scipy.linalg.eigh(m, subset_by_index=[n - k, n - 1])
     # both paths return ascending order; we want descending
     vals = vals[::-1].copy()
-    vecs = _fix_signs(vecs[:, ::-1])
+    vecs = vecs[:, ::-1]
+    vecs = vecs * _column_signs(vecs)
     return EigenPairs(values=vals, vectors=vecs)
 
 
@@ -193,7 +194,5 @@ def svd_small(m):
     if not np.isfinite(m).all():
         raise ConfigError("matrix contains non-finite entries")
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    idx = np.argmax(np.abs(u), axis=0)
-    signs = np.sign(u[idx, np.arange(u.shape[1])])
-    signs[signs == 0] = 1.0
+    signs = _column_signs(u)
     return u * signs, s, (vt * signs[:, None]).T

@@ -118,7 +118,7 @@ class AdjacencyMatrix:
     Only the strict upper triangle is kept (row-major pair order), so
     symmetry and the zero diagonal are structural facts rather than
     invariants to re-check. Construction from bits or a dense array
-    validates entries.
+    validates entries, unless they are bool, which can only be 0 or 1.
     """
 
     __slots__ = ("n", "_packed")
@@ -132,10 +132,12 @@ class AdjacencyMatrix:
             raise ConfigError(
                 f"expected {_triu_size(n)} upper-triangle bits, got {bits.shape}"
             )
-        if bits.size and not np.isin(bits, (0, 1)).all():
-            raise ConfigError("adjacency bits must be 0 or 1")
+        if bits.dtype != bool:
+            if bits.size and not np.isin(bits, (0, 1)).all():
+                raise ConfigError("adjacency bits must be 0 or 1")
+            bits = bits.astype(np.uint8)
         self.n = n
-        self._packed = np.packbits(bits.astype(np.uint8))
+        self._packed = np.packbits(bits)
 
     @classmethod
     def from_dense(cls, m):
@@ -234,8 +236,7 @@ def sample_adjacency(x, seed):
     _check_probabilities(gram, "edge")
     probs = gram[_triu_mask(n)]
     rng = as_generator(seed)
-    bits = (rng.random(probs.shape[0]) < probs).astype(np.uint8)
-    return AdjacencyMatrix(n, bits)
+    return AdjacencyMatrix(n, rng.random(probs.shape[0]) < probs)
 
 
 def sample_oos_edges(x, wbar, seed):

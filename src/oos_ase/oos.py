@@ -76,6 +76,10 @@ def _edge_values(a, n):
     return vec
 
 
+def _ls_position(emb, avec):
+    return (emb.eig.vectors.T @ avec) / np.sqrt(emb.eig.values)
+
+
 def lls_oos(emb, a):
     """Least-squares out-of-sample estimate, S_A^{-1/2} U_A^T a.
 
@@ -83,16 +87,20 @@ def lls_oos(emb, a):
     because X-hat^T X-hat = S_A exactly. Cost is one (n x d)-vector
     product — no n x n work.
     """
-    avec = _edge_values(a, emb.n)
-    w = (emb.eig.vectors.T @ avec) / np.sqrt(emb.eig.values)
-    return OosEstimate(w=w, method="LS")
+    return OosEstimate(w=_ls_position(emb, _edge_values(a, emb.n)), method="LS")
 
 
-def _loglik_value(positions, avec, w):
-    p = positions @ w
+def _loglik(x, avec, w):
+    """(value, gradient, Hessian, p = x w) of the log-likelihood at w; outside
+    its domain 0 < p < 1 the value is -inf and the derivatives are None."""
+    p = x @ w
     if p.min() <= 0.0 or p.max() >= 1.0:
-        return -np.inf, p
-    return float(avec @ np.log(p) + (1.0 - avec) @ np.log1p(-p)), p
+        return -np.inf, None, None, p
+    value = float(avec @ np.log(p) + (1.0 - avec) @ np.log1p(-p))
+    grad = x.T @ ((avec - p) / (p * (1.0 - p)))
+    curv = avec / p**2 + (1.0 - avec) / (1.0 - p) ** 2
+    hess = -(x.T * curv) @ x
+    return value, grad, hess, p
 
 
 def likelihood(emb, a, w):
@@ -110,17 +118,12 @@ def likelihood(emb, a, w):
     w = np.asarray(w, dtype=float).ravel()
     if w.shape[0] != emb.d:
         raise ConfigError("w dimension does not match embedding")
-    x = emb.positions
-    p = x @ w
-    if p.min() <= 0.0 or p.max() >= 1.0:
+    value, grad, hess, p = _loglik(emb.positions, avec, w)
+    if grad is None:
         i = int(np.argmax((p <= 0.0) | (p >= 1.0)))
         raise ConfigError(
             f"w outside the likelihood domain: X-hat_{i}^T w = {p[i]}"
         )
-    value = float(avec @ np.log(p) + (1.0 - avec) @ np.log1p(-p))
-    grad = x.T @ ((avec - p) / (p * (1.0 - p)))
-    curv = avec / p**2 + (1.0 - avec) / (1.0 - p) ** 2
-    hess = -(x.T * curv) @ x
     return value, grad, hess
 
 
@@ -191,7 +194,7 @@ def ml_oos(emb, a, eps=0.05, opts=None):
     lo, hi = eps, 1.0 - eps
     active_tol = 1e-9
 
-    w = lls_oos(emb, a).w
+    w = _ls_position(emb, avec)
     p = x @ w
     if _box_margin(p, lo, hi) <= 0.0:
         w_int, max_margin = _chebyshev_point(x, lo, hi)
@@ -205,9 +208,9 @@ def ml_oos(emb, a, eps=0.05, opts=None):
             else:
                 t_lo = t
         w = w + t_hi * (w_int - w)
-        p = x @ w
 
-    value, grad, hess = likelihood(emb, a, w)
+    # inside the box, so inside the likelihood's domain
+    value, grad, hess, p = _loglik(x, avec, w)
     init_value = value
     pg_norm = np.linalg.norm(grad)
     n_active = 0
@@ -299,8 +302,8 @@ def ml_oos(emb, a, eps=0.05, opts=None):
         accepted = False
         while alpha > 1e-18:
             w_try = w + alpha * direction
-            value_try, p_try = _loglik_value(x, avec, w_try)
-            if value_try >= value + 1e-4 * alpha * slope:
+            at_try = _loglik(x, avec, w_try)
+            if at_try[0] >= value + 1e-4 * alpha * slope:
                 accepted = True
                 break
             alpha *= 0.5
@@ -310,8 +313,7 @@ def ml_oos(emb, a, eps=0.05, opts=None):
                 last_w=w, iterations=iterations, grad_norm=pg_norm,
             )
         w = w_try
-        value, grad, hess = likelihood(emb, a, w)
-        p = x @ w
+        value, grad, hess, p = at_try
     else:
         raise NonConvergenceError(
             f"no convergence in {opts.max_iter} iterations "

@@ -3,21 +3,17 @@ import pytest
 
 from oos_ase import (
     ConfigError,
-    EigenPairs,
-    Embedding,
     LatentDistribution,
     ProcrustesResult,
     aligned_error,
     ase,
-    clt_rotation,
-    latent_eigenpairs,
+    embed_matrix,
     lls_oos,
     procrustes,
     sample_adjacency,
     sample_latents,
     sample_oos_edges,
 )
-from oos_ase.errors import DegenerateAlignmentError
 
 MIX = LatentDistribution(2, [((0.2, 0.7), 0.4), ((0.65, 0.3), 0.6)])
 
@@ -25,15 +21,6 @@ MIX = LatentDistribution(2, [((0.2, 0.7), 0.4), ((0.65, 0.3), 0.6)])
 def _random_rotation(d, rng):
     q, r = np.linalg.qr(rng.standard_normal((d, d)))
     return q * np.sign(np.diagonal(r))
-
-
-def _orthonormal_embedding(n, d, values, seed):
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((n, d)))
-    eig = EigenPairs(values=np.asarray(values, dtype=float), vectors=q)
-    return Embedding(
-        positions=eig.vectors * np.sqrt(eig.values), eig=eig, source_order=n
-    )
 
 
 def test_procrustes_identity():
@@ -79,59 +66,20 @@ def test_procrustes_result_validates_orthogonality():
         ProcrustesResult(rotation=np.full((2, 2), np.nan), residual=0.0)
 
 
-def test_clt_rotation_identity():
-    emb = _orthonormal_embedding(50, 2, [4.0, 1.0], seed=103)
-    assert np.allclose(clt_rotation(emb, emb.eig), np.eye(2), atol=1e-12)
-
-
-def test_clt_rotation_planted():
-    rng = np.random.default_rng(104)
-    emb_p = _orthonormal_embedding(50, 2, [4.0, 1.0], seed=105)
-    q0 = _random_rotation(2, rng)
-    eig_a = EigenPairs(values=np.array([4.0, 1.0]), vectors=emb_p.eig.vectors @ q0)
-    emb_a = Embedding(
-        positions=eig_a.vectors * np.sqrt(eig_a.values), eig=eig_a, source_order=50
-    )
-    # U_A = U_P Q0  =>  U_A^T U_P = Q0^T, whose SVD gives back Q0^T
-    assert np.allclose(clt_rotation(emb_a, emb_p.eig), q0.T, atol=1e-10)
-
-
-def test_clt_rotation_orthogonal_output_and_degenerate_input():
-    x = sample_latents(MIX, 100, seed=106)
-    emb = ase(sample_adjacency(x, seed=107), 2)
-    u_p, _ = latent_eigenpairs(x)
-    v_n = clt_rotation(emb, u_p)
-    assert np.max(np.abs(v_n.T @ v_n - np.eye(2))) <= 1e-10
-
-    # orthogonal eigenbases have zero overlap -> degenerate
-    basis = np.eye(4)
-    eig_a = EigenPairs(values=np.array([1.0]), vectors=basis[:, :1])
-    emb_a = Embedding(positions=basis[:, :1], eig=eig_a, source_order=4)
-    u_bad = EigenPairs(values=np.array([1.0]), vectors=basis[:, 1:2])
-    with pytest.raises(DegenerateAlignmentError, match="rank"):
-        clt_rotation(emb_a, u_bad)
-
-
-def test_latent_eigenpairs_factorization_identities():
-    x = sample_latents(MIX, 300, seed=108)
-    u_p, v_x = latent_eigenpairs(x)
-    # exact reconstruction with the sign convention applied to both factors
-    assert np.max(
-        np.abs(u_p.vectors * np.sqrt(u_p.values) @ v_x.T - x.rows)
-    ) <= 1e-12
-    assert np.max(np.abs(v_x.T @ v_x - np.eye(2))) <= 1e-12
-    # eigenvalues of P = X X^T, against a direct eigensolve
-    vals = np.linalg.eigvalsh(x.rows @ x.rows.T)
-    assert np.allclose(u_p.values, vals[::-1][:2], atol=1e-8)
-
-
 def test_clt_rotation_agrees_with_procrustes_on_fixture():
-    # the SVD-based alignment and the Procrustes alignment to the
-    # eigenbasis positions nearly coincide at n=500
+    # the paper's alignment V_n = V_A V_P^T, from the SVD
+    # U_A^T U_P = V_A Sigma V_P^T of the embedding's eigenbasis against that
+    # of P = X X^T, and the Procrustes alignment to the eigenbasis
+    # positions nearly coincide at n=500
     x = sample_latents(MIX, 500, seed=109)
     emb = ase(sample_adjacency(x, seed=110), 2)
-    u_p, v_x = latent_eigenpairs(x)
-    v_n = clt_rotation(emb, u_p)
+    emb_p = embed_matrix(x.rows @ x.rows.T, 2)
+    v_a, _, v_pt = np.linalg.svd(emb.eig.vectors.T @ emb_p.eig.vectors)
+    v_n = v_a @ v_pt
+    # X V_X is exactly P's eigenbasis positions: the Procrustes fit is exact
+    fit = procrustes(x.rows, emb_p.positions)
+    assert fit.residual <= 1e-10
+    v_x = fit.rotation
     r_p = procrustes(emb.positions, x.rows @ v_x).rotation
     assert np.linalg.norm(v_n - r_p) <= 0.2
     # same statement in the truth frame: V_n V_X^T vs plain Procrustes to X

@@ -5,6 +5,7 @@ round-trips, every reader for its failure modes, and the CLI for its
 exit-code contract: 0 success, 2 config, 3 degeneracy, 4 solver, 5 I/O.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -521,3 +522,18 @@ def test_console_script_help():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: oos-ase")
     assert "sample" in proc.stdout and "experiment" in proc.stdout
+
+
+def test_public_names_and_benchmark_trace_targets_resolve(monkeypatch):
+    # Every exported name exists, and every function that the benchmark's
+    # tracer wraps by name (TARGETS in bench/spans.py) is still there, so
+    # a deletion that would break `bench/run.py --trace 1` fails here.
+    import oos_ase
+
+    missing = [name for name in oos_ase.__all__ if not hasattr(oos_ase, name)]
+    assert missing == []
+    monkeypatch.syspath_prepend(os.path.join(REPO_ROOT, "bench"))
+    spans = importlib.import_module("spans")
+    assert spans.TARGETS
+    for owner, attr, _, _ in spans.TARGETS:
+        assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"

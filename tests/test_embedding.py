@@ -8,7 +8,6 @@ from oos_ase import (
     LatentDistribution,
     ase,
     augment,
-    embed_full,
     embed_matrix,
     procrustes,
     sample_adjacency,
@@ -104,14 +103,6 @@ def test_ase_requires_adjacency_type():
         ase(np.eye(4) - np.eye(4), 1)
 
 
-def test_embed_full_identical_to_ase():
-    x = sample_latents(MIX, 50, seed=56)
-    a = sample_adjacency(x, seed=57)
-    e1, e2 = ase(a, 2), embed_full(a, 2)
-    assert np.array_equal(e1.positions, e2.positions)
-    assert np.array_equal(e1.eig.values, e2.eig.values)
-
-
 def test_row_errors_concentrate_at_moderate_n():
     # regression band calibrated by a 100-trial run at n=500 with these
     # seeds: the worst aligned row error stays below 0.31 in >= 95 trials
@@ -137,7 +128,7 @@ def test_augmented_embedding_stays_close_to_original():
     a = sample_adjacency(x, seed=59)
     e = sample_oos_edges(x, MIX.points[0], seed=60)
     emb = ase(a, 2)
-    emb_big = embed_full(augment(a, e), 2)
+    emb_big = ase(augment(a, e), 2)
     res = procrustes(emb_big.positions[:500], emb.positions)
     rows = np.linalg.norm(
         emb_big.positions[:500] @ res.rotation - emb.positions, axis=1

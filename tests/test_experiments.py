@@ -5,6 +5,7 @@ import oos_ase.experiments as experiments
 from oos_ase import (
     ClassifySpec,
     ConfigError,
+    DegenerateSpectrumError,
     ExperimentConfig,
     LatentDistribution,
     NonConvergenceError,
@@ -173,6 +174,44 @@ def test_failed_trials_are_recorded_not_raised(monkeypatch):
     assert result.summary["failure_rate"] == pytest.approx(0.25)
     # coverage statistics come from the surviving trials only
     assert sum(a["count"] for a in result.summary["atoms"]) == 6
+
+
+def test_rate_sweep_failures_fail_only_the_records_they_touch(monkeypatch):
+    cfg = ExperimentConfig(
+        study="rate_sweep", dist=MIX, n_grid=(30, 40, 50, 60), trials=2,
+        master_seed=29,
+    )
+
+    def failing_ml(emb, a, eps):
+        raise NonConvergenceError("synthetic ML failure")
+
+    # a failed ML solve leaves the LS record of the same trial intact
+    monkeypatch.setattr(experiments, "ml_oos", failing_ml)
+    result = run_rate_sweep(cfg)
+    assert len(result.records) == 2 * 4 * 2
+    for r in result.records:
+        if r.method == "LS":
+            assert r.status == "ok" and r.aligned_error is not None
+        else:
+            assert r.status == "NonConvergenceError"
+            assert r.message == "synthetic ML failure" and r.w is None
+    assert result.summary["failures"] == 8
+    assert result.summary["slope_ls"] is not None
+    assert result.summary["slope_ml"] is None
+
+    # a failed simulation fails both records with the same message
+    def failing_sample(lat, rng):
+        raise DegenerateSpectrumError(f"synthetic failure at n={lat.n}")
+
+    monkeypatch.setattr(experiments, "sample_adjacency", failing_sample)
+    result = run_rate_sweep(cfg)
+    assert len(result.records) == 2 * 4 * 2
+    for ls, ml in zip(result.records[::2], result.records[1::2]):
+        assert (ls.method, ml.method) == ("LS", "ML")
+        assert (ls.trial, ls.n) == (ml.trial, ml.n)
+        assert ls.status == ml.status == "DegenerateSpectrumError"
+        assert ls.message == ml.message == f"synthetic failure at n={ls.n}"
+    assert result.summary["failures"] == 16
 
 
 def test_error_ratio_matches_direct_curve_call():

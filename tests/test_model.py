@@ -76,6 +76,16 @@ def test_adjacency_all_zero_all_one():
     assert empty.density() == 0.0 and empty.edges().shape == (0, 2)
     assert full.density() == 1.0 and full.edges().shape == (size, 2)
     assert np.array_equal(full.to_dense(), np.ones((n, n)) - np.eye(n))
+    # bool bits skip the 0/1 scan and pack to the same bytes as other dtypes
+    assert AdjacencyMatrix(n, np.zeros(size, dtype=bool)) == empty
+    assert AdjacencyMatrix(n, np.ones(size, dtype=bool)) == full
+    bits = np.random.default_rng(8).random(size) < 0.5
+    mixed = AdjacencyMatrix(n, bits)
+    assert np.array_equal(mixed.triu_bits(), bits)
+    for dtype in (np.uint8, np.int64, np.float64):
+        assert AdjacencyMatrix(n, bits.astype(dtype)) == mixed
+    with pytest.raises(ConfigError, match="0 or 1"):
+        AdjacencyMatrix(n, np.full(size, 2))
 
 
 def test_adjacency_from_dense_validation():
