@@ -6,6 +6,9 @@ ordered deterministically, and JSON is dumped with sorted keys.
 import csv
 import json
 import os
+import re
+from contextlib import contextmanager
+from itertools import islice
 
 import numpy as np
 
@@ -18,10 +21,24 @@ from .model import AdjacencyMatrix, EdgeVector, LatentDistribution
 EDGE_HEADER = "oos-ase graph n="
 
 # Largest graph order read_edge_list accepts. The header is checked before
-# anything is allocated. At this order the reader's bit buffer of n(n-1)/2
+# anything is allocated. At this order the graph's bit buffer of n(n-1)/2
 # bytes takes 200 MB, and embedding the graph builds a dense n x n float64
-# matrix of 3.2 GB.
+# matrix of 3.2 GB. The header does not bound the reader's other memory:
+# it parses the body into int64 pairs, 16 bytes per edge line, in
+# proportion to the file (an edge line takes at least 4 bytes).
 MAX_ORDER = 20_000
+
+# Whitespace as np.loadtxt splits on it: what str.isspace calls space,
+# except the line break.
+_SPACE = r"[^\S\n]"
+# An edge line holds two integers that fit in int64 and may go on after a
+# space; a blank line holds nothing else. The pattern finds the first line
+# that is neither. It runs only after the parser has failed, to name it.
+_INT = r"[+-]?0*[0-9]{1,18}"
+_BAD_EDGE_LINE = re.compile(
+    rf"^(?!{_SPACE}*(?:{_INT}{_SPACE}+{_INT}(?:{_SPACE}.*)?)?$).*", re.M
+)
+_DATA_LINE = re.compile(rf"^{_SPACE}*\S.*", re.M)
 
 
 def fmt(x):
@@ -29,17 +46,34 @@ def fmt(x):
     return format(float(x), ".17g")
 
 
+@contextmanager
+def _text_file(path, error=FileFormatError, **kwargs):
+    """open(path) for reading; bytes that do not decode raise `error`."""
+    try:
+        with open(path, **kwargs) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: undecodable bytes ({exc.reason})") from None
+
+
 # ---------------------------------------------------------------- graphs
 
 def write_edge_list(adj, path):
+    """Header line, then one line "i j" per edge, in the order of edges().
+    Each vertex name is formatted once; a row's lines are one join."""
+    pairs = adj.edges()
+    names = np.array([str(v) for v in range(adj.n)], dtype=object)
+    rows = np.split(names[pairs[:, 1]],
+                    np.searchsorted(pairs[:, 0], np.arange(1, adj.n)))
     with open(path, "w") as fh:
         fh.write(f"{EDGE_HEADER}{adj.n}\n")
-        for i, j in adj.edges():
-            fh.write(f"{i} {j}\n")
+        for i, js in enumerate(rows):
+            if js.size:
+                fh.write(f"{i} " + f"\n{i} ".join(js) + "\n")
 
 
 def read_edge_list(path):
-    with open(path) as fh:
+    with _text_file(path) as fh:
         header = fh.readline().rstrip("\n")
         if not header.startswith(EDGE_HEADER):
             raise FileFormatError(f"{path}: missing graph header")
@@ -51,21 +85,40 @@ def read_edge_list(path):
             raise FileFormatError(
                 f"{path}: order {n} in header outside [1, {MAX_ORDER}]"
             )
-        dense_bits = np.zeros(n * (n - 1) // 2, dtype=np.uint8)
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.split()
-            if not parts:
-                continue
+        start = fh.tell()
+        pairs = np.empty((0, 2), dtype=np.int64)
+        # loadtxt warns when it finds no data; this stops at the first line
+        # that has some
+        if any(not line.isspace() for line in fh):
+            fh.seek(start)
             try:
-                i, j = int(parts[0]), int(parts[1])
-            except (ValueError, IndexError):
+                pairs = np.loadtxt(fh, dtype=np.int64, usecols=(0, 1),
+                                   ndmin=2, comments=None)
+            except ValueError as exc:  # a UnicodeDecodeError recurs below
+                lineno, line = _body_line(fh, start, _BAD_EDGE_LINE)
+                if lineno is None:
+                    raise FileFormatError(f"{path}: bad edge list ({exc})")
                 raise FileFormatError(f"{path}:{lineno}: bad edge line {line!r}")
-            if not 0 <= i < j < n:
-                raise FileFormatError(
-                    f"{path}:{lineno}: edge ({i},{j}) out of range for n={n}"
-                )
-            dense_bits[i * n - i * (i + 1) // 2 + (j - i - 1)] = 1
-    return AdjacencyMatrix(n, dense_bits)
+        i, j = pairs[:, 0], pairs[:, 1]
+        ok = (0 <= i) & (i < j) & (j < n)
+        if not ok.all():
+            k = int(np.argmin(ok))
+            lineno, _ = _body_line(fh, start, _DATA_LINE, k)
+            raise FileFormatError(
+                f"{path}:{lineno}: edge ({i[k]},{j[k]}) out of range for n={n}"
+            )
+    return AdjacencyMatrix.from_edges(n, pairs)
+
+
+def _body_line(fh, start, pattern, k=0):
+    """(line number, text) of the k-th match of pattern in the body of the
+    edge list fh, which starts at `start`, or (None, None)."""
+    fh.seek(start)
+    text = fh.read()
+    match = next(islice(pattern.finditer(text), k, None), None)
+    if match is None:
+        return None, None
+    return text.count("\n", 0, match.start()) + 2, match[0]
 
 
 # --------------------------------------------------------------- matrices
@@ -79,7 +132,7 @@ def write_matrix_csv(m, path):
 
 def read_matrix_csv(path):
     rows = []
-    with open(path) as fh:
+    with _text_file(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -105,7 +158,7 @@ def write_edge_vector(e, path):
 
 def read_edge_vector(path):
     bits = []
-    with open(path) as fh:
+    with _text_file(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -133,13 +186,13 @@ def write_embedding(emb, csv_path, sidecar_path):
 def read_embedding(csv_path, sidecar_path):
     positions = read_matrix_csv(csv_path)
     try:
-        with open(sidecar_path) as fh:
+        with _text_file(sidecar_path) as fh:
             sidecar = json.load(fh)
         values = np.asarray(sidecar["eigenvalues"], dtype=float)
         d = int(sidecar["d"])
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"{sidecar_path}: bad embedding sidecar ({exc})")
-    if positions.shape[1] != d or values.shape[0] != d:
+    if positions.shape[1] != d or values.shape != (d,):
         raise FileFormatError(f"{sidecar_path}: dimension mismatch with positions")
     if not (np.isfinite(values).all() and np.all(values > 0)):
         raise FileFormatError(
@@ -154,18 +207,25 @@ def read_embedding(csv_path, sidecar_path):
 
 def read_distribution(path):
     try:
-        with open(path) as fh:
+        with _text_file(path, ConfigError) as fh:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})")
     if not isinstance(raw, dict) or "dimension" not in raw or "atoms" not in raw:
         raise ConfigError(f"{path}: spec needs 'dimension' and 'atoms' fields")
+    if not isinstance(raw["atoms"], list):
+        raise ConfigError(f"{path}: 'atoms' must be a list")
     atoms = []
     for k, atom in enumerate(raw["atoms"]):
-        if "point" not in atom or "weight" not in atom:
+        if not isinstance(atom, dict) or "point" not in atom or "weight" not in atom:
             raise ConfigError(f"{path}: atom {k} needs 'point' and 'weight'")
         atoms.append((atom["point"], atom["weight"]))
-    return LatentDistribution(raw["dimension"], atoms)
+    try:
+        return LatentDistribution(raw["dimension"], atoms)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:  # a field's type
+        raise ConfigError(f"{path}: malformed spec ({exc})") from None
 
 
 def write_distribution(dist, path):
@@ -236,10 +296,10 @@ def write_trials_csv(records, d, path):
 
 def read_trials_csv(path, d):
     records = []
-    with open(path, newline="") as fh:
+    with _text_file(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or header[0] != "trial":
+        if not header or header[0] != "trial":
             raise FileFormatError(f"{path}: missing trials header")
         width = 6 + 2 * d + d * d
         for row in reader:

@@ -169,6 +169,36 @@ class AdjacencyMatrix:
         upper[_triu_mask(self.n)] = self.triu_bits()
         return np.argwhere(upper)
 
+    @classmethod
+    def from_edges(cls, n, pairs):
+        """Graph of order n with the given edges, the inverse of edges().
+
+        pairs is an (m, 2) integer array of (i, j) with 0 <= i < j < n, in
+        any order; a repeated pair is one edge.
+        """
+        n = int(n)
+        if n < 1:
+            raise ConfigError("order must be >= 1")
+        pairs = np.asarray(pairs)
+        if pairs.size == 0:
+            pairs = np.empty((0, 2), dtype=np.int64)
+        if pairs.dtype.kind not in "iu" or pairs.shape[1:] != (2,):
+            raise ConfigError("edges must be an (m, 2) integer array")
+        i, j = pairs[:, 0], pairs[:, 1]
+        if not np.all((0 <= i) & (i < j) & (j < n)):
+            raise ConfigError(f"edge out of range: need 0 <= i < j < {n}")
+        # Row i of the packed order starts after the (n-1) + ... + (n-i)
+        # pairs of the rows above it, i (2n - i - 1) / 2 in all, and (i, j)
+        # is its (j - i - 1)-th pair. In place, to keep temporaries few.
+        i = i.astype(np.int64)
+        offset = i * (2 * n - 1 - i)
+        offset //= 2
+        offset += j
+        offset -= i + 1
+        bits = np.zeros(_triu_size(n), dtype=bool)
+        bits[offset] = True
+        return cls(n, bits)
+
     def density(self):
         size = _triu_size(self.n)
         return float(self.triu_bits().sum()) / size if size else 0.0
@@ -218,13 +248,14 @@ def sample_latents(dist, n, seed):
     return LatentMatrix(rows=dist.points[idx], seed=seed)
 
 
-def _check_probabilities(p, what):
-    bad = (p < 0.0) | (p > 1.0)
-    if np.any(bad):
-        i = np.argwhere(bad)[0]
-        loc = tuple(int(v) for v in i)
+def _check_probabilities(p, what, index=None):
+    """Raise on the first entry of the vector p outside [0, 1]. index maps
+    its position k to the index the message names (default (k,))."""
+    if np.any(p < 0.0) or np.any(p > 1.0):  # one temporary at a time
+        k = int(np.argmax((p < 0.0) | (p > 1.0)))
+        loc = tuple(int(v) for v in (index(k) if index else (k,)))
         raise ModelViolationError(
-            f"{what} probability {p[tuple(i)]} outside [0, 1] at index {loc}"
+            f"{what} probability {p[k]} outside [0, 1] at index {loc}"
         )
 
 
@@ -233,8 +264,12 @@ def sample_adjacency(x, seed):
     rows = x.rows if isinstance(x, LatentMatrix) else np.asarray(x, dtype=float)
     n = rows.shape[0]
     gram = rows @ rows.T
-    _check_probabilities(gram, "edge")
     probs = gram[_triu_mask(n)]
+    # gram is symmetric, so its diagonal and the drawn upper triangle hold
+    # every value it has
+    _check_probabilities(np.diagonal(gram), "edge", lambda k: (k, k))
+    _check_probabilities(probs, "edge",
+                         lambda k: np.argwhere(_triu_mask(n))[k])
     rng = as_generator(seed)
     return AdjacencyMatrix(n, rng.random(probs.shape[0]) < probs)
 
@@ -257,15 +292,12 @@ def augment(a, e):
     vertex is the (now in-sample) out-of-sample vertex."""
     if not isinstance(a, AdjacencyMatrix):
         raise ConfigError("augment expects an AdjacencyMatrix")
-    evec = e.a if isinstance(e, EdgeVector) else np.asarray(e)
+    evec = (e if isinstance(e, EdgeVector) else EdgeVector(a=e)).a
     if evec.shape != (a.n,):
         raise ConfigError(
             f"edge vector length {evec.shape} does not match order {a.n}"
         )
-    n = a.n
-    old = a.triu_bits()
-    # row i of the strict upper triangle gains one trailing entry e_i;
-    # np.insert positions are counted in the old flat layout
-    ends = np.array([(i + 1) * (n - 1) - i * (i + 1) // 2 for i in range(n)])
-    bits = np.insert(old, ends, evec.astype(np.uint8))
-    return AdjacencyMatrix(n + 1, bits)
+    new = np.flatnonzero(evec)
+    border = np.column_stack((new, np.full_like(new, a.n)))
+    pairs = np.concatenate((a.edges(), border))
+    return AdjacencyMatrix.from_edges(a.n + 1, pairs)

@@ -14,6 +14,7 @@ classification between the classes has an analytic threshold and error
 rate; those drive the in-sample vs out-of-sample trade-off curve.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,10 +104,15 @@ class ClassifySpec:
 
     def variances(self):
         """(sigma_p^2, sigma_q^2): limiting variances for each class."""
-        dist = self.distribution()
-        sp2 = float(sigma_clt(dist, [self.p])[0, 0])
-        sq2 = float(sigma_clt(dist, [self.q])[0, 0])
-        return sp2, sq2
+        return _class_variances(self.lam, self.p, self.q)
+
+
+@functools.lru_cache(maxsize=256)
+def _class_variances(lam, p, q):
+    """ClassifySpec.variances, cached: they depend on (lam, p, q) alone, and
+    every classify_error call needs them twice."""
+    dist = ClassifySpec(lam, p, q).distribution()
+    return float(sigma_clt(dist, [p])[0, 0]), float(sigma_clt(dist, [q])[0, 0])
 
 
 def _log_density_diff_coeffs(spec, scale):

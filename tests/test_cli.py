@@ -8,8 +8,10 @@ exit-code contract: 0 success, 2 config, 3 degeneracy, 4 solver, 5 I/O.
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +84,76 @@ def test_edge_list_read_errors(tmp_path):
     path.write_text("oos-ase graph n=4\n0 7\n")
     with pytest.raises(FileFormatError, match="out of range"):
         io.read_edge_list(path)
+
+    # each rejection names the file and the line, counting the header as
+    # line 1 and blank lines too
+    body = "0 1\n\n  \n1 2\n"  # lines 2-5 are fine
+    for line, phrase in (
+        ("# a comment", "bad edge line"),
+        ("3", "bad edge line"),
+        ("1.0 2", "bad edge line"),
+        ("0 12345678901234567890", "bad edge line"),
+        ("0 1 2 3 4 5 6 7 8 9 x", None),
+        ("-1 2", r"edge \(-1,2\) out of range"),
+        ("2 2", r"edge \(2,2\) out of range"),
+        ("3 1", r"edge \(3,1\) out of range"),
+        ("1 4", r"edge \(1,4\) out of range"),
+    ):
+        path.write_text(f"oos-ase graph n=4\n{body}{line}\n2 3\n")
+        if phrase is None:
+            assert io.read_edge_list(path).edges().tolist() == [
+                [0, 1], [1, 2], [2, 3]]
+            continue
+        with pytest.raises(FileFormatError,
+                           match=f"^{re.escape(str(path))}:6: {phrase}"):
+            io.read_edge_list(path)
+
+
+def _per_edge_edge_list(adj):
+    """The edge-list writer's former per-edge loop, kept as its oracle."""
+    out = f"{io.EDGE_HEADER}{adj.n}\n"
+    for i, j in adj.edges():
+        out += f"{i} {j}\n"
+    return out.encode()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 11, 101, 1000])
+def test_edge_list_writer_matches_per_edge_loop(tmp_path, n):
+    size = n * (n - 1) // 2
+    rng = np.random.default_rng(n)
+    graphs = {
+        "empty": np.zeros(size, dtype=bool),
+        "complete": np.ones(size, dtype=bool),
+        "half": rng.random(size) < 0.5,
+        "sparse": rng.random(size) < 0.01,
+    }
+    for name, bits in graphs.items():
+        adj = AdjacencyMatrix(n, bits)
+        path = tmp_path / f"{name}.txt"
+        io.write_edge_list(adj, path)
+        assert path.read_bytes() == _per_edge_edge_list(adj), name
+        assert io.read_edge_list(path) == adj, name
+
+
+def test_edge_list_reader_accepts_loose_layout(tmp_path):
+    # blank and space-only lines, CRLF and lone CR line ends, tabs,
+    # tokens after the pair, a repeated edge, no final line break
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"oos-ase graph n=5\r\n\r\n0 1\r\n \t\n"
+                     b"1\t3 extra tokens 7\n2 4\r1 3\n\n0 1")
+    got = io.read_edge_list(path)
+    assert got.n == 5
+    assert got.edges().tolist() == [[0, 1], [1, 3], [2, 4]]
+
+
+@pytest.mark.parametrize("body", ["", "\n", "\n  \n\t\n"])
+def test_edge_list_empty_body_reads_without_warning(tmp_path, body):
+    path = tmp_path / "g.txt"
+    path.write_text(f"oos-ase graph n=3\n{body}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = io.read_edge_list(path)
+    assert got == AdjacencyMatrix(3, np.zeros(3, dtype=bool))
 
 
 def test_matrix_csv_round_trip_exact(tmp_path):
@@ -242,6 +314,38 @@ def test_trials_csv_round_trip(tmp_path):
         io.read_trials_csv(p1, 2)
 
 
+def _bytes_with_ff(text, at):
+    """text encoded, with a byte that is not UTF-8 inserted at offset at."""
+    raw = text.encode()
+    return raw[:at] + b"\xff" + raw[at:]
+
+
+@pytest.mark.parametrize("reader, text, at, error", [
+    (io.read_edge_list, "oos-ase graph n=3\n0 1\n", 4, FileFormatError),
+    (io.read_edge_list, "oos-ase graph n=3\n0 1\n1 2\n", 23, FileFormatError),
+    (io.read_matrix_csv, "1.0,2.0\n3.0,4.0\n", 9, FileFormatError),
+    (io.read_edge_vector, "0\n1\n", 2, FileFormatError),
+    (lambda p: io.read_trials_csv(p, 2), "trial,n\n", 3, FileFormatError),
+    (io.read_distribution, '{"dimension": 1}', 3, ConfigError),
+], ids=["edge_list_header", "edge_list_body", "matrix_csv", "edge_vector",
+        "trials_csv", "distribution"])
+def test_readers_reject_undecodable_bytes(tmp_path, reader, text, at, error):
+    path = tmp_path / "f"
+    path.write_bytes(_bytes_with_ff(text, at))
+    with pytest.raises(error, match="undecodable bytes") as exc:
+        reader(path)
+    assert type(exc.value) is error
+
+
+def test_read_embedding_rejects_undecodable_sidecar(tmp_path):
+    adj, _, _, _ = _sample_fixture(30, 2)
+    cpath, spath = tmp_path / "e.csv", tmp_path / "e.json"
+    io.write_embedding(ase(adj, 2), cpath, spath)
+    spath.write_bytes(_bytes_with_ff(spath.read_text(), 5))
+    with pytest.raises(FileFormatError, match="undecodable bytes"):
+        io.read_embedding(cpath, spath)
+
+
 def test_estimate_json_shape(tmp_path):
     adj, _, _, edges = _sample_fixture(120, 8)
     emb = ase(adj, 2)
@@ -359,6 +463,45 @@ def test_cli_embed_header_order_out_of_range_exit_5(tmp_path, capsys, order):
     assert f"order {order} in header outside [1, {io.MAX_ORDER}]" in (
         capsys.readouterr().err
     )
+
+
+def test_cli_undecodable_input_exit_codes(tmp_path, capsys):
+    """A byte that does not decode is a bad file (exit 5), or a bad spec
+    (exit 2, as for invalid JSON), never a traceback."""
+    spec = _write_mix_spec(tmp_path)
+    out = tmp_path / "run"
+    assert main(["sample", "--spec", spec, "--n", "40", "--seed", "1",
+                 "--out", str(out)]) == 0
+    graph, emb = out / "graph.txt", str(out / "embedding")
+    assert main(["embed", "--graph", str(graph), "--dim", "2",
+                 "--out", emb]) == 0
+    oos = ["oos", "--embedding", emb, "--edges", str(out / "oos_edges.csv"),
+           "--method", "ls"]
+    assert main(oos) == 0
+    capsys.readouterr()
+
+    text = graph.read_text()
+    for at in (3, len(text) - 2):  # in the header, in the last edge line
+        bad = tmp_path / f"graph{at}.txt"
+        bad.write_bytes(_bytes_with_ff(text, at))
+        assert main(["embed", "--graph", str(bad), "--dim", "2",
+                     "--out", str(tmp_path / "e")]) == 5
+        assert "undecodable bytes" in capsys.readouterr().err
+
+    for name in ("embedding.csv", "embedding.json", "oos_edges.csv"):
+        path = out / name
+        good = path.read_bytes()
+        path.write_bytes(_bytes_with_ff(good.decode(), 2))
+        assert main(oos) == 5, name
+        assert "undecodable bytes" in capsys.readouterr().err
+        path.write_bytes(good)
+
+    bad_spec = tmp_path / "bad_spec.json"
+    bad_spec.write_bytes(_bytes_with_ff(open(spec).read(), 5))
+    assert main(["experiment", "--study", "clt-ls", "--spec", str(bad_spec),
+                 "--n", "50", "--trials", "1",
+                 "--out", str(tmp_path / "study")]) == 2
+    assert "undecodable bytes" in capsys.readouterr().err
 
 
 def test_cli_oos_nonfinite_embedding_exit_5(tmp_path, capsys):

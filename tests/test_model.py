@@ -97,6 +97,34 @@ def test_adjacency_from_dense_validation():
         AdjacencyMatrix.from_dense(np.array([[0, 2], [2, 0]]))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 30), st.integers(0, 100_000), st.floats(0.0, 1.0))
+def test_from_edges_inverts_edges_property(n, seed, density):
+    rng = np.random.default_rng(seed)
+    adj = AdjacencyMatrix(n, rng.random(n * (n - 1) // 2) < density)
+    pairs = adj.edges()
+    assert AdjacencyMatrix.from_edges(n, pairs) == adj
+    # pair order and repeats do not matter
+    shuffled = np.concatenate((pairs, pairs[: len(pairs) // 2]))
+    rng.shuffle(shuffled)
+    assert AdjacencyMatrix.from_edges(n, shuffled) == adj
+
+
+def test_from_edges_validation():
+    assert AdjacencyMatrix.from_edges(3, []) == AdjacencyMatrix(
+        3, np.zeros(3, dtype=np.uint8))
+    assert AdjacencyMatrix.from_edges(3, np.array([[0, 2]], dtype=np.uint16)) \
+        == AdjacencyMatrix(3, np.array([0, 1, 0], dtype=np.uint8))
+    for bad in ([[1, 1]], [[2, 1]], [[-1, 2]], [[0, 3]]):
+        with pytest.raises(ConfigError, match="out of range"):
+            AdjacencyMatrix.from_edges(3, bad)
+    for bad in ([[0.0, 1.0]], [0, 1], [[0, 1, 2]]):
+        with pytest.raises(ConfigError, match=r"\(m, 2\) integer array"):
+            AdjacencyMatrix.from_edges(3, bad)
+    with pytest.raises(ConfigError, match="order"):
+        AdjacencyMatrix.from_edges(0, [])
+
+
 def test_adjacency_density_tracks_expected_value():
     # E[A_ij] over the mixture = sum_kl w_k w_l <x_k, x_l>  (i != j)
     w, g = MIX.weights, MIX.points @ MIX.points.T
@@ -125,6 +153,14 @@ def test_edge_probability_frequencies_three_vertices():
 def test_sample_adjacency_rejects_invalid_probability():
     with pytest.raises(ModelViolationError, match="outside"):
         sample_adjacency(np.array([[1.2, 0.0], [1.0, 0.0]]), seed=0)
+    # the diagonal is checked although no edge is drawn from it
+    with pytest.raises(ModelViolationError, match=r"at index \(1, 1\)"):
+        sample_adjacency(np.array([[0.5], [1.1], [0.5]]), seed=0)
+    # an off-diagonal violation is named by its upper-triangle pair
+    rows = np.array([[0.0, 0.5], [0.6, 0.0], [-0.5, 0.5]])
+    with pytest.raises(ModelViolationError,
+                       match=r"-0.3\d* outside \[0, 1\] at index \(1, 2\)"):
+        sample_adjacency(rows, seed=0)
 
 
 def test_oos_edges_match_bernoulli_mean():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from oos_ase import (
     norm_cdf,
     sigma_clt,
 )
+from oos_ase import theory
 from oos_ase.theory import log_density_diff
 
 SPEC = ClassifySpec(lam=0.4, p=0.6, q=0.61)
@@ -77,6 +80,31 @@ def test_sigma_clt_matches_hand_formula_1d():
     sp2, sq2 = SPEC.variances()
     assert sp2 == pytest.approx(sp2_hand, rel=1e-12)
     assert sq2 == pytest.approx(sq2_hand, rel=1e-12)
+
+
+def test_classify_spec_variances_cached_without_changing_the_spec(monkeypatch):
+    calls = []
+
+    def counting(dist, wbar):
+        calls.append(wbar)
+        return sigma_clt(dist, wbar)
+
+    monkeypatch.setattr(theory, "sigma_clt", counting)
+    spec = ClassifySpec(lam=0.35, p=0.22, q=0.77)  # used by no other test
+    first = spec.variances()
+    assert len(calls) == 2
+    assert ClassifySpec(lam=0.35, p=0.22, q=0.77, n=5).variances() == first
+    classify_error(spec, 500)
+    assert len(calls) == 2
+    dist = spec.distribution()
+    assert first == (float(sigma_clt(dist, [0.22])[0, 0]),
+                     float(sigma_clt(dist, [0.77])[0, 0]))
+    # still a frozen value object compared by its fields
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.lam = 0.5
+    assert spec == ClassifySpec(lam=0.35, p=0.22, q=0.77)
+    assert hash(spec) == hash(ClassifySpec(lam=0.35, p=0.22, q=0.77))
+    assert spec != ClassifySpec(lam=0.35, p=0.22, q=0.77, n=5)
 
 
 def test_sigma_clt_vanishes_when_probability_degenerate():
