@@ -26,12 +26,9 @@ from .experiments import (
     ExperimentConfig,
     StudyResult,
     TrialRecord,
-    run_clt_study,
-    run_error_ratio,
-    run_rate_sweep,
     run_study,
 )
-from .linalg import EigenPairs, lstsq, svd_small, top_eigs
+from .linalg import EigenPairs, lstsq, top_eigs
 from .model import (
     AdjacencyMatrix,
     EdgeVector,
@@ -42,7 +39,7 @@ from .model import (
     sample_latents,
     sample_oos_edges,
 )
-from .oos import OosEstimate, SolverOptions, likelihood, lls_oos, ml_oos
+from .oos import OosEstimate, likelihood, lls_oos, ml_oos
 from .theory import (
     ClassifySpec,
     chi2_quantile,
@@ -77,7 +74,6 @@ __all__ = [
     "ProcrustesResult",
     "SingularityError",
     "SolverError",
-    "SolverOptions",
     "StudyResult",
     "ThresholdError",
     "TrialRecord",
@@ -96,14 +92,10 @@ __all__ = [
     "ml_oos",
     "norm_cdf",
     "procrustes",
-    "run_clt_study",
-    "run_error_ratio",
-    "run_rate_sweep",
     "run_study",
     "sample_adjacency",
     "sample_latents",
     "sample_oos_edges",
     "sigma_clt",
-    "svd_small",
     "top_eigs",
 ]

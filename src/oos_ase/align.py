@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .linalg import svd_small
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,8 +39,11 @@ def procrustes(source, target):
         raise ConfigError("procrustes inputs must have identical n x d shapes")
     if source.shape[0] < source.shape[1]:
         raise ConfigError("procrustes needs at least d rows")
-    u, _, v = svd_small(source.T @ target)
-    rotation = u @ v.T
+    cross = source.T @ target
+    if not np.isfinite(cross).all():
+        raise ConfigError("procrustes inputs contain non-finite entries")
+    u, _, vt = np.linalg.svd(cross)
+    rotation = u @ vt
     residual = float(np.linalg.norm(source @ rotation - target))
     return ProcrustesResult(rotation=rotation, residual=residual)
 

@@ -11,13 +11,10 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import io
 from .embedding import ase
 from .errors import (
     ConfigError,
-    DegeneracyError,
     FileFormatError,
     OosAseError,
     SolverError,

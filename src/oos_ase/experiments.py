@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .align import aligned_error, procrustes
-from .embedding import ase, embed_matrix
+from .embedding import ase
 from .errors import ConfigError, OosAseError
 from .model import (
     LatentDistribution,
@@ -39,13 +39,11 @@ class ExperimentConfig:
     spec: ClassifySpec | None = None
     n_grid: tuple[int, ...] = ()
     trials: int = 1
-    d: int | None = None
     epsilon: float = 0.05
     master_seed: int = 0
     workers: int = 1
     wbar: np.ndarray | None = None  # None: draw w-bar from F each trial
     m_grid: tuple[int, ...] = ()
-    noiseless: bool = False
 
     def __post_init__(self):
         if self.study not in STUDIES:
@@ -70,8 +68,6 @@ class ExperimentConfig:
         else:
             if self.dist is None:
                 raise ConfigError(f"{self.study} study needs a LatentDistribution")
-            if self.d is None:
-                self.d = self.dist.dimension
             if self.study in ("clt_ls", "clt_ml") and len(self.n_grid) != 1:
                 raise ConfigError("CLT studies use a single n")
             if self.study == "rate_sweep" and len(self.n_grid) < 4:
@@ -124,16 +120,10 @@ def _simulate_vertex(cfg, n, rng, wbar):
         lat = sample_latents(cfg.dist, n, rng)
     else:
         lat_all = sample_latents(cfg.dist, n + 1, rng)
-        lat = LatentMatrix(rows=lat_all.rows[:n], seed=lat_all.seed)
+        lat = LatentMatrix(rows=lat_all.rows[:n])
         wbar = lat_all.rows[n]
-    if cfg.noiseless:
-        emb = embed_matrix(lat.rows @ lat.rows.T, cfg.d)
-        avec = lat.rows @ wbar
-    else:
-        adj = sample_adjacency(lat, rng)
-        emb = ase(adj, cfg.d)
-        avec = sample_oos_edges(lat, wbar, rng)
-    return lat, emb, avec, wbar
+    emb = ase(sample_adjacency(lat, rng), cfg.dist.dimension)
+    return lat, emb, sample_oos_edges(lat, wbar, rng), wbar
 
 
 def _run_trial(cfg, index, n, rng, wbar, methods):
@@ -177,11 +167,16 @@ def _clt_trial(cfg, index):
 def summarize_clt(cfg, records):
     """Per-atom empirical moments and ellipse-coverage fractions.
 
+    Records are grouped by the atom nearest their w-bar, and every record
+    of a group shares that w-bar: the atom itself when w-bar is drawn from
+    F, cfg.wbar when it is fixed. Each group is centred on its w-bar, with
+    the covariance Sigma(w-bar) / n.
+
     Pure fold over the records: everything here is recomputable from the
     persisted trial rows plus the study configuration.
     """
     n = cfg.n_grid[0]
-    d = cfg.d
+    d = cfg.dist.dimension
     q68 = chi2_quantile(0.68, d)
     q95 = chi2_quantile(0.95, d)
     ok = [r for r in records if r.status == "ok"]
@@ -193,9 +188,10 @@ def summarize_clt(cfg, records):
     inside68 = inside95 = 0
     for idx in sorted(by_atom):
         atom = cfg.dist.points[idx]
-        cov_theory = sigma_clt(cfg.dist, atom) / n
+        wbar = by_atom[idx][0].wbar
+        cov_theory = sigma_clt(cfg.dist, wbar) / n
         aligned = np.array([r.rotation.T @ r.w for r in by_atom[idx]])
-        dev = aligned - atom
+        dev = aligned - wbar
         maha = np.einsum("ij,ij->i", dev @ np.linalg.inv(cov_theory), dev)
         in68 = int(np.count_nonzero(maha <= q68))
         in95 = int(np.count_nonzero(maha <= q95))
@@ -225,11 +221,9 @@ def summarize_clt(cfg, records):
     }
 
 
-def run_clt_study(cfg):
+def _run_clt_study(cfg):
     """CLT scatter study: one graph + one OOS vertex per trial, aligned by
     that trial's Procrustes rotation against the true latent positions."""
-    if cfg.study not in ("clt_ls", "clt_ml"):
-        raise ConfigError("run_clt_study needs study clt_ls or clt_ml")
     records = _map_trials(
         lambda i: _clt_trial(cfg, i), range(cfg.trials), cfg.workers
     )
@@ -239,7 +233,7 @@ def run_clt_study(cfg):
         for r in records
         if r.status == "ok"
     ]
-    header = ["atom"] + [f"w_{j}" for j in range(cfg.d)]
+    header = ["atom"] + [f"w_{j}" for j in range(cfg.dist.dimension)]
     return StudyResult(cfg, records, summary, {"clt_scatter": (header, rows)})
 
 
@@ -286,11 +280,9 @@ def summarize_rate(cfg, records):
     }
 
 
-def run_rate_sweep(cfg):
+def _run_rate_sweep(cfg):
     """Convergence-rate sweep: both estimators on the same graph per trial,
     median aligned error per n, and the fitted log-log slope."""
-    if cfg.study != "rate_sweep":
-        raise ConfigError("run_rate_sweep needs study rate_sweep")
     keys = [(ni, t) for ni in range(len(cfg.n_grid)) for t in range(cfg.trials)]
     nested = _map_trials(lambda k: _rate_trial(cfg, k), keys, cfg.workers)
     records = [r for group in nested for r in group]
@@ -304,10 +296,8 @@ def run_rate_sweep(cfg):
     )
 
 
-def run_error_ratio(cfg):
+def _run_error_ratio(cfg):
     """Analytic error-ratio curves (no simulation): one curve per n."""
-    if cfg.study != "error_ratio":
-        raise ConfigError("run_error_ratio needs study error_ratio")
     plotdata = {}
     curves = {}
     for n in cfg.n_grid:
@@ -325,8 +315,9 @@ def run_error_ratio(cfg):
 
 
 def run_study(cfg):
+    """Run the study cfg names; the one entry point for every study."""
     if cfg.study in ("clt_ls", "clt_ml"):
-        return run_clt_study(cfg)
+        return _run_clt_study(cfg)
     if cfg.study == "rate_sweep":
-        return run_rate_sweep(cfg)
-    return run_error_ratio(cfg)
+        return _run_rate_sweep(cfg)
+    return _run_error_ratio(cfg)

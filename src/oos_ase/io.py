@@ -198,9 +198,14 @@ def read_embedding(csv_path, sidecar_path):
         raise FileFormatError(
             f"{sidecar_path}: eigenvalues must be positive and finite"
         )
-    vectors = positions / np.sqrt(values)
-    eig = EigenPairs(values=values, vectors=vectors)
-    return Embedding(positions=positions, eig=eig, source_order=positions.shape[0])
+    try:
+        eig = EigenPairs(values=values, vectors=positions / np.sqrt(values))
+        return Embedding(positions=positions, eig=eig,
+                         source_order=positions.shape[0])
+    except ConfigError as exc:
+        raise FileFormatError(
+            f"{csv_path}, {sidecar_path}: not an embedding ({exc})"
+        ) from None
 
 
 # ----------------------------------------------------- distribution specs
@@ -228,19 +233,6 @@ def read_distribution(path):
         raise ConfigError(f"{path}: malformed spec ({exc})") from None
 
 
-def write_distribution(dist, path):
-    spec = {
-        "dimension": dist.dimension,
-        "atoms": [
-            {"point": [float(v) for v in p], "weight": float(w)}
-            for p, w in zip(dist.points, dist.weights)
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(spec, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 # -------------------------------------------------------------- estimates
 
 def estimate_json(est):
@@ -260,7 +252,7 @@ def estimate_json(est):
 
 # ----------------------------------------------------------- study output
 
-def _vec_fields(prefix, vec, d):
+def _vec_fields(vec, d):
     if vec is None:
         return [""] * d
     return [fmt(v) for v in np.asarray(vec).ravel()[:d]]
@@ -287,9 +279,9 @@ def write_trials_csv(records, d, path):
                 r.status,
                 fmt(r.aligned_error) if r.aligned_error is not None else "",
             ]
-            row += _vec_fields("wbar", r.wbar, d)
-            row += _vec_fields("w", r.w, d)
-            row += _vec_fields("rot", r.rotation, d * d)
+            row += _vec_fields(r.wbar, d)
+            row += _vec_fields(r.w, d)
+            row += _vec_fields(r.rotation, d * d)
             row.append(r.message)
             writer.writerow(row)
 
@@ -350,9 +342,9 @@ def write_plotdata_csv(header, rows, path):
 def write_study(result, outdir):
     """Persist a StudyResult: trials.csv, summary.json, plotdata/*.csv."""
     os.makedirs(outdir, exist_ok=True)
-    d = result.config.d if result.config.d is not None else 1
     if result.records:
-        write_trials_csv(result.records, d, os.path.join(outdir, "trials.csv"))
+        write_trials_csv(result.records, result.config.dist.dimension,
+                         os.path.join(outdir, "trials.csv"))
     write_summary_json(result.summary, os.path.join(outdir, "summary.json"))
     plotdir = os.path.join(outdir, "plotdata")
     os.makedirs(plotdir, exist_ok=True)

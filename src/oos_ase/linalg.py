@@ -1,4 +1,4 @@
-"""Numerical kernels: top-k symmetric eigenpairs, small SVD, least-squares.
+"""Numerical kernels: top-k symmetric eigenpairs and least squares.
 Everything here is a thin, contract-checked wrapper around LAPACK or ARPACK
 (via numpy/scipy); all outputs follow one deterministic sign convention so
 repeated runs agree bit-for-bit.
@@ -35,10 +35,10 @@ from .errors import ConfigError, SingularityError
 LANCZOS_MIN_ORDER = 256
 LANCZOS_ORDER_PER_K = 64
 
-# Columns are flipped so the largest-magnitude entry of each eigenvector /
-# singular vector is positive (ties broken by lowest index). Any orthogonal
-# transform of the latent positions gives the same graph distribution, so a
-# fixed convention costs nothing and buys reproducibility.
+# Columns are flipped so the largest-magnitude entry of each eigenvector is
+# positive (ties broken by lowest index). Any orthogonal transform of the
+# latent positions gives the same graph distribution, so a fixed
+# convention costs nothing and buys reproducibility.
 SIGN_CONVENTION = "max-entry-positive"
 
 # Entries within this relative distance of a column's largest magnitude tie.
@@ -77,10 +77,6 @@ class EigenPairs:
         defect = vectors.T @ vectors - np.eye(values.shape[0])
         if not np.max(np.abs(defect)) <= 1e-10:
             raise ConfigError("eigenvectors are not orthonormal (defect > 1e-10)")
-
-    @property
-    def k(self):
-        return self.values.shape[0]
 
     def residuals(self, m):
         """Per-pair residual ||M v_i - lambda_i v_i|| against a dense symmetric M."""
@@ -178,21 +174,3 @@ def lstsq(design, rhs):
         )
     return w
 
-
-def svd_small(m):
-    """SVD of a small (<= 64 x 64) matrix: m = U @ diag(s) @ V.T.
-
-    Returns (U, s, V) — note V, not V^T — with singular values descending
-    and the sign convention applied to U's columns (V's columns flipped to
-    match so the product is unchanged).
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise ConfigError("svd_small expects a matrix")
-    if max(m.shape) > 64:
-        raise ConfigError("svd_small is for small matrices only (<= 64)")
-    if not np.isfinite(m).all():
-        raise ConfigError("matrix contains non-finite entries")
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    signs = _column_signs(u)
-    return u * signs, s, (vt * signs[:, None]).T

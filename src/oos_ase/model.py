@@ -11,7 +11,7 @@ pass an integer seed, a numpy SeedSequence, or a Generator. Identical
 (inputs, seed) give identical bits regardless of scheduling.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,8 +63,6 @@ class LatentDistribution:
         self.dimension = dimension
         self.points = points
         self.weights = weights
-        # strictest margin eps such that eps <= x^T y <= 1-eps for all pairs
-        self.feasibility_margin = float(min(gram.min(), 1.0 - gram.max()))
 
     @property
     def n_atoms(self):
@@ -81,10 +79,9 @@ class LatentDistribution:
 
 @dataclass(frozen=True, eq=False)
 class LatentMatrix:
-    """n x d matrix of latent positions plus the seed that generated it."""
+    """n x d matrix of latent positions."""
 
     rows: np.ndarray
-    seed: object = None
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=float)
@@ -199,10 +196,6 @@ class AdjacencyMatrix:
         bits[offset] = True
         return cls(n, bits)
 
-    def density(self):
-        size = _triu_size(self.n)
-        return float(self.triu_bits().sum()) / size if size else 0.0
-
     def __eq__(self, other):
         if not isinstance(other, AdjacencyMatrix):
             return NotImplemented
@@ -217,12 +210,9 @@ class AdjacencyMatrix:
 
 @dataclass(frozen=True, eq=False)
 class EdgeVector:
-    """Observed edges a_i of an out-of-sample vertex, with the true latent
-    position kept alongside (when known) for evaluation."""
+    """Observed edges a_i of an out-of-sample vertex."""
 
     a: np.ndarray
-    truth: np.ndarray | None = None
-    seed: object = field(default=None, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.a)
@@ -231,8 +221,6 @@ class EdgeVector:
         if a.size and not np.isin(a, (0, 1)).all():
             raise ConfigError("edge vector entries must be 0 or 1")
         object.__setattr__(self, "a", a.astype(np.uint8))
-        if self.truth is not None:
-            object.__setattr__(self, "truth", np.asarray(self.truth, dtype=float))
 
     @property
     def n(self):
@@ -245,14 +233,16 @@ def sample_latents(dist, n, seed):
         raise ConfigError("n must be >= 1")
     rng = as_generator(seed)
     idx = rng.choice(dist.n_atoms, size=n, p=dist.weights)
-    return LatentMatrix(rows=dist.points[idx], seed=seed)
+    return LatentMatrix(rows=dist.points[idx])
 
 
 def _check_probabilities(p, what, index=None):
-    """Raise on the first entry of the vector p outside [0, 1]. index maps
-    its position k to the index the message names (default (k,))."""
-    if np.any(p < 0.0) or np.any(p > 1.0):  # one temporary at a time
-        k = int(np.argmax((p < 0.0) | (p > 1.0)))
+    """Raise on the first entry of the vector p outside [0, 1], NaN
+    included. index maps its position k to the index the message names
+    (default (k,))."""
+    # min and max propagate NaN, so NaN fails the range test too
+    if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):
+        k = int(np.argmax(~((p >= 0.0) & (p <= 1.0))))
         loc = tuple(int(v) for v in (index(k) if index else (k,)))
         raise ModelViolationError(
             f"{what} probability {p[k]} outside [0, 1] at index {loc}"
@@ -284,7 +274,7 @@ def sample_oos_edges(x, wbar, seed):
     _check_probabilities(probs, "out-of-sample edge")
     rng = as_generator(seed)
     bits = (rng.random(rows.shape[0]) < probs).astype(np.uint8)
-    return EdgeVector(a=bits, truth=wbar, seed=seed)
+    return EdgeVector(a=bits)
 
 
 def augment(a, e):

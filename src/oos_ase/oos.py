@@ -51,15 +51,15 @@ class OosEstimate:
 # eps * |objective|.
 ROUNDING_SLOPE = 10.0
 
-
-@dataclass
-class SolverOptions:
-    """Knobs for the ML Newton ascent. tol=None means 1e-8 * n."""
-
-    tol: float | None = None
-    max_iter: int = 500
-    cond_limit: float = 1e12  # Hessian condition estimate triggering gradient fallback
-    boundary_fraction: float = 0.95  # fraction of the distance to the nearest constraint
+# The ML Newton ascent: it stops once the projected gradient is at most
+# TOL_PER_VERTEX * n, gives up after MAX_ITER iterations, falls back to the
+# gradient direction when the Hessian's condition estimate exceeds
+# COND_LIMIT, and caps each step at BOUNDARY_FRACTION of the distance to the
+# nearest constraint.
+TOL_PER_VERTEX = 1e-8
+MAX_ITER = 500
+COND_LIMIT = 1e12
+BOUNDARY_FRACTION = 0.95
 
 
 def _edge_values(a, n):
@@ -151,7 +151,7 @@ def _box_margin(p, lo, hi):
     return float(min(p.min() - lo, hi - p.max()))
 
 
-def ml_oos(emb, a, eps=0.05, opts=None):
+def ml_oos(emb, a, eps=0.05):
     """Constrained maximum-likelihood out-of-sample estimate.
 
     Maximizes the concave log-likelihood over the box
@@ -159,10 +159,10 @@ def ml_oos(emb, a, eps=0.05, opts=None):
 
     * start from the least-squares estimate when it is feasible, otherwise
       shift it toward the box's deepest (Chebyshev-style) interior point;
-    * each step is capped at `boundary_fraction` of the distance to the
+    * each step is capped at BOUNDARY_FRACTION of the distance to the
       nearest inactive constraint along the search direction, then Armijo
       backtracking enforces ascent;
-    * when the Hessian condition estimate exceeds `cond_limit` the step
+    * when the Hessian condition estimate exceeds COND_LIMIT the step
       falls back to the gradient direction;
     * once constraints are active, steps are taken along the face (Newton
       restricted to the null space of the active rows) or along the
@@ -171,7 +171,7 @@ def ml_oos(emb, a, eps=0.05, opts=None):
     * convergence is declared when the gradient norm — or, with active
       constraints, the KKT-stationarity residual from a nonnegative
       least-squares fit of the gradient onto the active constraint
-      normals — drops below tol (default 1e-8 * n);
+      normals — drops below tol = TOL_PER_VERTEX * n;
     * in the interior it is also declared when the Newton slope
       grad @ direction falls to ROUNDING_SLOPE * eps * |objective|: no
       step can then raise the objective by more than a few units of its
@@ -185,12 +185,10 @@ def ml_oos(emb, a, eps=0.05, opts=None):
     """
     if not 0.0 < eps < 0.5:
         raise ConfigError("eps must lie in (0, 1/2)")
-    if opts is None:
-        opts = SolverOptions()
     x = emb.positions
     n, d = x.shape
     avec = _edge_values(a, n)
-    tol = opts.tol if opts.tol is not None else 1e-8 * n
+    tol = TOL_PER_VERTEX * n
     lo, hi = eps, 1.0 - eps
     active_tol = 1e-9
 
@@ -216,7 +214,7 @@ def ml_oos(emb, a, eps=0.05, opts=None):
     n_active = 0
     iterations = 0
 
-    for iterations in range(1, opts.max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         eigs = np.linalg.eigvalsh(hess)
         if eigs[-1] > 1e-8:
             raise SolverError(
@@ -253,7 +251,7 @@ def ml_oos(emb, a, eps=0.05, opts=None):
                 z = vt[rank:].T
                 hz = z.T @ hess @ z
                 ez = np.linalg.eigvalsh(hz)
-                if ez[-1] < 0.0 and ez[0] / ez[-1] <= opts.cond_limit:
+                if ez[-1] < 0.0 and ez[0] / ez[-1] <= COND_LIMIT:
                     cand = z @ np.linalg.solve(hz, -(z.T @ grad))
                 else:
                     cand = z @ (z.T @ grad)
@@ -264,7 +262,7 @@ def ml_oos(emb, a, eps=0.05, opts=None):
         else:
             # interior: Newton when the Hessian is well conditioned
             cond = np.inf if eigs[-1] >= 0.0 else eigs[0] / eigs[-1]
-            if cond > opts.cond_limit:
+            if cond > COND_LIMIT:
                 direction = grad
             else:
                 direction = np.linalg.solve(hess, -grad)
@@ -297,7 +295,7 @@ def ml_oos(emb, a, eps=0.05, opts=None):
                 ),
             )
         alpha_max = float(room.min()) if room.size else np.inf
-        alpha = min(1.0, opts.boundary_fraction * alpha_max)
+        alpha = min(1.0, BOUNDARY_FRACTION * alpha_max)
 
         accepted = False
         while alpha > 1e-18:
@@ -316,9 +314,9 @@ def ml_oos(emb, a, eps=0.05, opts=None):
         value, grad, hess, p = at_try
     else:
         raise NonConvergenceError(
-            f"no convergence in {opts.max_iter} iterations "
+            f"no convergence in {MAX_ITER} iterations "
             f"(projected gradient {pg_norm:.3e}, tol {tol:.3e})",
-            last_w=w, iterations=opts.max_iter, grad_norm=float(pg_norm),
+            last_w=w, iterations=MAX_ITER, grad_norm=float(pg_norm),
         )
 
     if value < init_value:

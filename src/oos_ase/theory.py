@@ -73,8 +73,6 @@ class ClassifySpec:
     lam: float
     p: float
     q: float
-    n: int | None = None
-    m: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.lam < 1.0:
@@ -88,7 +86,7 @@ class ClassifySpec:
         )
 
     @classmethod
-    def from_distribution(cls, dist, n=None, m=None):
+    def from_distribution(cls, dist):
         if dist.dimension != 1 or dist.n_atoms != 2:
             raise ConfigError(
                 "classification spec needs a 1-D two-atom distribution"
@@ -99,7 +97,6 @@ class ClassifySpec:
             lam=float(dist.weights[order[0]]),
             p=float(pts[order[0]]),
             q=float(pts[order[1]]),
-            n=n, m=m,
         )
 
     def variances(self):
@@ -130,18 +127,6 @@ def _log_density_diff_coeffs(spec, scale):
     c_eff = sp2 * spec.q**2 - sq2 * spec.p**2 + (2.0 * sp2 * sq2 / scale) * c_log
     k = scale / (2.0 * sp2 * sq2)
     return k, a, b, c_eff
-
-
-def log_density_diff(spec, scale, x):
-    """log lam*phi_p(x) - log (1-lam)*phi_q(x) at effective sample count scale.
-
-    Both class densities are the usual normal densities with the usual
-    negative exponents; the threshold below is their likelihood-ratio
-    crossing point.
-    """
-    k, a, b, c_eff = _log_density_diff_coeffs(spec, scale)
-    x = np.asarray(x, dtype=float)
-    return k * ((a * x + b) * x + c_eff)
 
 
 def classify_threshold(spec, scale):

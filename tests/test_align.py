@@ -57,6 +57,8 @@ def test_procrustes_shape_checks():
         procrustes(np.zeros((3, 2)), np.zeros((4, 2)))
     with pytest.raises(ConfigError, match="rows"):
         procrustes(np.zeros((2, 3)), np.zeros((2, 3)))
+    with pytest.raises(ConfigError, match="non-finite"):
+        procrustes(np.array([[1.0, 0.0], [0.0, np.nan]]), np.eye(2))
 
 
 def test_procrustes_result_validates_orthogonality():

@@ -33,6 +33,8 @@ from oos_ase.oos import lls_oos, ml_oos
 from oos_ase.theory import ClassifySpec, error_ratio_curve
 
 MIX = LatentDistribution(2, [((0.2, 0.7), 0.4), ((0.65, 0.3), 0.6)])
+MIX_SPEC = {"dimension": 2, "atoms": [{"point": [0.2, 0.7], "weight": 0.4},
+                                      {"point": [0.65, 0.3], "weight": 0.6}]}
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 PRESET_DIR = os.path.join(REPO_ROOT, "presets")
@@ -247,14 +249,12 @@ def test_embedding_sidecar_errors(tmp_path):
 
 
 def test_distribution_round_trip(tmp_path):
-    p1, p2 = tmp_path / "d1.json", tmp_path / "d2.json"
-    io.write_distribution(MIX, p1)
-    back = io.read_distribution(p1)
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(MIX_SPEC))
+    back = io.read_distribution(path)
     assert back.dimension == 2
     assert np.array_equal(back.points, MIX.points)
     assert np.array_equal(back.weights, MIX.weights)
-    io.write_distribution(back, p2)
-    assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_distribution_read_errors(tmp_path):
@@ -364,7 +364,7 @@ def test_estimate_json_shape(tmp_path):
 
 def _write_mix_spec(tmp_path):
     spec = tmp_path / "mix.json"
-    io.write_distribution(MIX, spec)
+    spec.write_text(json.dumps(MIX_SPEC))
     return str(spec)
 
 
@@ -516,6 +516,30 @@ def test_cli_oos_nonfinite_embedding_exit_5(tmp_path, capsys):
                "--method", "ls"])
     assert rc == 5
     assert "non-finite value" in capsys.readouterr().err
+
+
+def test_cli_oos_corrupt_embedding_exit_5(tmp_path, capsys):
+    # files that parse but break the embedding's invariants are corrupt
+    # files (5), not a bad configuration (2)
+    adj, _, _, edges = _sample_fixture(50, 3)
+    base = str(tmp_path / "e")
+    io.write_edge_vector(edges, tmp_path / "a.csv")
+    argv = ["oos", "--embedding", base, "--edges", str(tmp_path / "a.csv"),
+            "--method", "ls"]
+
+    io.write_embedding(ase(adj, 2), base + ".csv", base + ".json")
+    sidecar = json.loads((tmp_path / "e.json").read_text())
+    sidecar["eigenvalues"].reverse()
+    (tmp_path / "e.json").write_text(json.dumps(sidecar))
+    assert main(argv) == 5
+    assert "eigenvalues must be sorted descending" in capsys.readouterr().err
+
+    io.write_embedding(ase(adj, 2), base + ".csv", base + ".json")
+    positions = io.read_matrix_csv(base + ".csv")
+    positions[0] *= 2.0
+    io.write_matrix_csv(positions, base + ".csv")
+    assert main(argv) == 5
+    assert "not orthonormal" in capsys.readouterr().err
 
 
 def test_cli_embed_degenerate_exit_3(tmp_path, capsys):

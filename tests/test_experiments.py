@@ -10,9 +10,6 @@ from oos_ase import (
     LatentDistribution,
     NonConvergenceError,
     error_ratio_curve,
-    run_clt_study,
-    run_error_ratio,
-    run_rate_sweep,
     run_study,
 )
 from oos_ase.experiments import _substream, summarize_clt
@@ -73,9 +70,9 @@ def test_clt_study_deterministic_and_worker_invariant():
             master_seed=42, workers=workers,
         )
 
-    r1 = run_clt_study(cfg(1))
-    r2 = run_clt_study(cfg(1))
-    r4 = run_clt_study(cfg(4))
+    r1 = run_study(cfg(1))
+    r2 = run_study(cfg(1))
+    r4 = run_study(cfg(4))
     assert _records_equal(r1.records, r2.records)
     assert _records_equal(r1.records, r4.records)
     assert r1.summary == r4.summary
@@ -85,7 +82,7 @@ def test_clt_summary_is_pure_fold_of_records():
     cfg = ExperimentConfig(
         study="clt_ls", dist=MIX, n_grid=(60,), trials=12, master_seed=5
     )
-    result = run_clt_study(cfg)
+    result = run_study(cfg)
     assert summarize_clt(cfg, result.records) == result.summary
     assert result.summary["trials"] == 12
     assert result.summary["failures"] == 0
@@ -97,11 +94,24 @@ def test_clt_summary_is_pure_fold_of_records():
         assert 0.0 <= a["coverage95"] <= 1.0
 
 
+def test_clt_summary_centres_a_fixed_wbar_between_the_atoms():
+    # w-bar = 0.5 is no atom; centring on the nearest atom, with that
+    # atom's Sigma, gave a coverage95 of 0.0 here
+    dist = LatentDistribution(1, [((0.2,), 0.5), ((0.8,), 0.5)])
+    cfg = ExperimentConfig(study="clt_ls", dist=dist, n_grid=(500,),
+                           trials=100, master_seed=0, wbar=[0.5])
+    summary = run_study(cfg).summary
+    assert summary["failures"] == 0
+    assert 0.85 <= summary["coverage95"] <= 1.0
+    assert len(summary["atoms"]) == 1
+    assert abs(summary["atoms"][0]["mean"][0] - 0.5) < 0.01
+
+
 def test_clt_study_draws_wbar_from_mixture_by_default():
     cfg = ExperimentConfig(
         study="clt_ls", dist=MIX, n_grid=(50,), trials=40, master_seed=11
     )
-    result = run_clt_study(cfg)
+    result = run_study(cfg)
     atoms = {MIX.atom_index(r.wbar) for r in result.records}
     assert atoms == {0, 1}
 
@@ -109,26 +119,8 @@ def test_clt_study_draws_wbar_from_mixture_by_default():
         study="clt_ls", dist=MIX, n_grid=(50,), trials=8, master_seed=11,
         wbar=MIX.points[0],
     )
-    for r in run_clt_study(fixed).records:
+    for r in run_study(fixed).records:
         assert np.array_equal(r.wbar, MIX.points[0])
-
-
-def test_noiseless_paths_are_exact():
-    clt = ExperimentConfig(
-        study="clt_ml", dist=MIX, n_grid=(80,), trials=4, master_seed=3,
-        noiseless=True,
-    )
-    for r in run_clt_study(clt).records:
-        assert r.status == "ok"
-        assert r.aligned_error <= 1e-8
-
-    rate = ExperimentConfig(
-        study="rate_sweep", dist=MIX, n_grid=(30, 60, 120, 240), trials=2,
-        master_seed=3, noiseless=True,
-    )
-    for r in run_rate_sweep(rate).records:
-        assert r.status == "ok"
-        assert r.aligned_error <= 1e-8
 
 
 def test_rate_sweep_structure_and_medians():
@@ -136,7 +128,7 @@ def test_rate_sweep_structure_and_medians():
         study="rate_sweep", dist=MIX, n_grid=(40, 80, 160, 320), trials=6,
         master_seed=17,
     )
-    result = run_rate_sweep(cfg)
+    result = run_study(cfg)
     assert len(result.records) == 2 * 4 * 6  # methods x grid x trials
     s = result.summary
     assert {e["method"] for e in s["per_n"]} == {"LS", "ML"}
@@ -164,7 +156,7 @@ def test_failed_trials_are_recorded_not_raised(monkeypatch):
     cfg = ExperimentConfig(
         study="clt_ls", dist=MIX, n_grid=(50,), trials=8, master_seed=23
     )
-    result = run_clt_study(cfg)
+    result = run_study(cfg)
     failed = [r for r in result.records if r.status != "ok"]
     assert len(result.records) == 8
     assert len(failed) == 2
@@ -187,7 +179,7 @@ def test_rate_sweep_failures_fail_only_the_records_they_touch(monkeypatch):
 
     # a failed ML solve leaves the LS record of the same trial intact
     monkeypatch.setattr(experiments, "ml_oos", failing_ml)
-    result = run_rate_sweep(cfg)
+    result = run_study(cfg)
     assert len(result.records) == 2 * 4 * 2
     for r in result.records:
         if r.method == "LS":
@@ -204,7 +196,7 @@ def test_rate_sweep_failures_fail_only_the_records_they_touch(monkeypatch):
         raise DegenerateSpectrumError(f"synthetic failure at n={lat.n}")
 
     monkeypatch.setattr(experiments, "sample_adjacency", failing_sample)
-    result = run_rate_sweep(cfg)
+    result = run_study(cfg)
     assert len(result.records) == 2 * 4 * 2
     for ls, ml in zip(result.records[::2], result.records[1::2]):
         assert (ls.method, ml.method) == ("LS", "ML")
@@ -219,7 +211,7 @@ def test_error_ratio_matches_direct_curve_call():
         study="error_ratio", spec=SPEC, n_grid=(100, 1000),
         m_grid=(1, 2, 10, 100),
     )
-    result = run_error_ratio(cfg)
+    result = run_study(cfg)
     for n in (100, 1000):
         direct = [[m, r] for m, r in error_ratio_curve(SPEC, n, (1, 2, 10, 100))]
         assert result.summary["curves"][str(n)] == direct

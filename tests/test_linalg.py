@@ -14,7 +14,6 @@ from oos_ase import (
     lstsq,
     sample_adjacency,
     sample_latents,
-    svd_small,
     top_eigs,
 )
 from oos_ase.errors import SingularityError
@@ -215,42 +214,6 @@ def test_lstsq_recovers_planted_solution_property(seed, d, n):
     assert np.linalg.norm(r) <= 1e-8 * max(1e-30, np.linalg.norm(design.T @ (design @ w0)))
 
 
-def test_svd_small_identity():
-    u, s, v = svd_small(np.eye(2))
-    assert np.allclose(s, [1.0, 1.0])
-    assert np.allclose(u @ np.diag(s) @ v.T, np.eye(2), atol=1e-12)
-
-
-def test_svd_small_diag_with_zero():
-    _, s, _ = svd_small(np.diag([2.0, 0.0]))
-    assert np.allclose(s, [2.0, 0.0])
-
-
-def test_svd_small_planted_factors():
-    rng = np.random.default_rng(11)
-    u0, _ = np.linalg.qr(rng.standard_normal((3, 2)))
-    v0, _ = np.linalg.qr(rng.standard_normal((2, 2)))
-    m = u0 @ np.diag([5.0, 1.0]) @ v0.T
-    _, s, _ = svd_small(m)
-    assert np.allclose(s, [5.0, 1.0], atol=1e-10)
-
-
-def test_svd_small_size_guard():
-    with pytest.raises(ConfigError):
-        svd_small(np.zeros((65, 2)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10_000), st.integers(1, 8), st.integers(1, 8))
-def test_svd_small_reconstruction_property(seed, p, q):
-    rng = np.random.default_rng(seed)
-    m = rng.uniform(-1, 1, size=(p, q))
-    u, s, v = svd_small(m)
-    assert np.max(np.abs(u @ np.diag(s) @ v.T - m)) <= 1e-10
-    assert np.all(s >= 0) and np.all(np.diff(s) <= 0)
-    assert np.all(_column_signs(u) == 1.0)  # the shared sign rule holds
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.integers(2, 12))
 def test_top_eigs_residual_and_orthonormality_property(seed, n):
@@ -261,5 +224,5 @@ def test_top_eigs_residual_and_orthonormality_property(seed, n):
     pairs = top_eigs(m, int(k))
     res = pairs.residuals(m)
     assert np.all(res <= 1e-8 * np.maximum(1.0, np.abs(pairs.values)))
-    defect = pairs.vectors.T @ pairs.vectors - np.eye(pairs.k)
+    defect = pairs.vectors.T @ pairs.vectors - np.eye(pairs.values.shape[0])
     assert np.max(np.abs(defect)) <= 1e-10

@@ -11,7 +11,6 @@ from oos_ase import (
     Embedding,
     FeasibilityError,
     LatentDistribution,
-    SolverOptions,
     ase,
     embed_matrix,
     likelihood,
@@ -23,6 +22,7 @@ from oos_ase import (
     sample_latents,
     sample_oos_edges,
 )
+from oos_ase import oos
 from oos_ase.model import as_generator
 
 MIX = LatentDistribution(2, [((0.2, 0.7), 0.4), ((0.65, 0.3), 0.6)])
@@ -260,18 +260,20 @@ def test_ml_feasible_start_from_infeasible_ls():
     assert p.min() >= 0.05 - 1e-9 and p.max() <= 0.95 + 1e-9
 
 
-def test_ml_iteration_budget_respected():
+def test_ml_iteration_budget_respected(monkeypatch):
     x, emb = _mix_embedding(150, seed=87)
     a = sample_oos_edges(x, MIX.points[1], seed=88)
     from oos_ase import NonConvergenceError
 
+    monkeypatch.setattr(oos, "TOL_PER_VERTEX", 1e-300 / 150)
+    monkeypatch.setattr(oos, "MAX_ITER", 3)
     with pytest.raises(NonConvergenceError) as exc:
-        ml_oos(emb, a, opts=SolverOptions(tol=1e-300, max_iter=3))
+        ml_oos(emb, a)
     assert exc.value.iterations == 3
     assert exc.value.last_w is not None
 
 
-def test_ml_stops_at_rounding_floor_under_tight_tolerance():
+def test_ml_stops_at_rounding_floor_under_tight_tolerance(monkeypatch):
     # At tol = 1e-13 n the interior ascent used to stall on some of these
     # vertices: near the optimum Armijo compared gains below the rounding
     # of a -650 objective, kept accepting steps that changed nothing and
@@ -283,7 +285,9 @@ def test_ml_stops_at_rounding_floor_under_tight_tolerance():
     emb = ase(sample_adjacency(x, rng), 2)
     for wbar in held:
         a = sample_oos_edges(x, wbar, rng)
-        tight = ml_oos(emb, a, opts=SolverOptions(tol=1e-13 * n))
+        with monkeypatch.context() as m:
+            m.setattr(oos, "TOL_PER_VERTEX", 1e-13)
+            tight = ml_oos(emb, a)
         assert tight.iterations <= 10
         assert np.max(np.abs(tight.w - ml_oos(emb, a).w)) <= 1e-10
         # the reported gradient norm is the true one, even above tol
