@@ -58,7 +58,9 @@ def embed_matrix(m, d):
 
     This is the computational core of `ase`, exposed directly so that
     noiseless inputs (the edge-probability matrix P = X X^T itself) can be
-    embedded in tests and diagnostics without manufacturing a graph.
+    embedded in tests and diagnostics without manufacturing a graph. Like
+    `top_eigs`, it reads only the lower triangle of m; the strict upper
+    part may hold anything finite.
     """
     m = np.asarray(m, dtype=float)
     n = m.shape[0]
@@ -80,10 +82,11 @@ def ase(a, d):
     Raises DegenerateSpectrumError when any of the top-d eigenvalues is
     <= 1e-10: positivity is only guaranteed with high probability, and a
     collapsed spectrum should fail loudly rather than silently switch
-    estimators.
+    estimators. The matrix embedded holds A in its lower triangle only,
+    which is all `top_eigs` reads.
     """
     if not isinstance(a, AdjacencyMatrix):
         raise ConfigError("ase expects an AdjacencyMatrix (use embed_matrix "
                           "for raw symmetric input)")
-    return embed_matrix(a.to_dense(), d)
+    return embed_matrix(a._dense(lower_only=True), d)
 

@@ -74,6 +74,19 @@ class ExperimentConfig:
                 raise ConfigError("rate sweep needs at least 4 grid points")
             if self.wbar is not None:
                 self.wbar = np.asarray(self.wbar, dtype=float).ravel()
+                if self.wbar.shape[0] != self.dist.dimension:
+                    raise ConfigError(
+                        f"w-bar dimension {self.wbar.shape[0]} does not match "
+                        f"distribution dimension {self.dist.dimension}"
+                    )
+                # every trial draws its edges with these probabilities;
+                # written so that NaN fails
+                probs = self.dist.points @ self.wbar
+                if not (probs.min() >= 0.0 and probs.max() <= 1.0):
+                    raise ConfigError(
+                        f"w-bar edge probabilities {probs.tolist()} with the "
+                        "atoms are not all in [0, 1]"
+                    )
 
 
 @dataclass

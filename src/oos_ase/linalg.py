@@ -117,9 +117,11 @@ def top_eigs(m, k):
     Parameters
     ----------
     m : (n, n) array_like
-        Real symmetric matrix. Symmetry is trusted structurally where the
-        caller built the matrix; here only finiteness is checked and the
-        lower triangle is read.
+        Real symmetric matrix, of which only the lower triangle (diagonal
+        included) is read; the strict upper part may hold anything finite,
+        zeros for instance, and the result is the same bit for bit.
+        Symmetry is trusted structurally where the caller built the
+        matrix; here only finiteness is checked, over the whole array.
     k : int
         Number of eigenpairs, 1 <= k <= n.
 

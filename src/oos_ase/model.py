@@ -11,6 +11,7 @@ pass an integer seed, a numpy SeedSequence, or a Generator. Identical
 (inputs, seed) give identical bits regardless of scheduling.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,15 +99,30 @@ class LatentMatrix:
         return self.rows.shape[1]
 
 
+# Block sizes of the row-block loops below; neither changes a result.
+# A sampling block's probability product covers about this many entries
+# (512 KB of float64), and a dense fill copies this many rows at a time.
+_SAMPLE_BLOCK_AREA = 2**16
+_FILL_BLOCK_ROWS = 256
+
+
 def _triu_size(n):
     return n * (n - 1) // 2
 
 
-def _triu_mask(n):
-    """Boolean n x n mask of the strict upper triangle. Boolean indexing
-    walks it in row-major order, the packed pair order of AdjacencyMatrix."""
-    idx = np.arange(n)
-    return idx[:, None] < idx
+def _triu_mask(rows, cols):
+    """Boolean rows x cols mask of the entries (r, c) with c > r, the
+    strict upper triangle when rows == cols. Boolean indexing walks it in
+    row-major order, the packed pair order of AdjacencyMatrix.
+
+    Made by one slice fill per row, not by a broadcast comparison: that is
+    faster from n = 1000 on, and a broadcast ufunc can crash CPython 3.11
+    when another thread stops `tracemalloc` while it runs.
+    """
+    mask = np.zeros((rows, cols), dtype=bool)
+    for r in range(min(rows, cols)):
+        mask[r, r + 1:] = True
+    return mask
 
 
 class AdjacencyMatrix:
@@ -145,25 +161,50 @@ class AdjacencyMatrix:
             raise ConfigError("adjacency matrix must be symmetric")
         if np.any(np.diagonal(m) != 0):
             raise ConfigError("adjacency matrix must be hollow (zero diagonal)")
-        return cls(m.shape[0], m[_triu_mask(m.shape[0])])
+        return cls(m.shape[0], m[_triu_mask(*m.shape)])
 
     def triu_bits(self):
         """Strict upper-triangle entries as a uint8 vector (row-major)."""
         return np.unpackbits(self._packed, count=_triu_size(self.n))
 
     def to_dense(self, dtype=np.float64):
-        out = np.zeros((self.n, self.n), dtype=dtype)
-        mask, bits = _triu_mask(self.n), self.triu_bits()
-        out[mask] = bits
-        # the lower triangle through the transposed view: unlike
-        # out += out.T this needs no n x n temporary
-        out.T[mask] = bits
+        return self._dense(lower_only=False).astype(dtype, copy=False)
+
+    def _dense(self, lower_only):
+        """C-ordered float64 n x n array of A. With lower_only the upper
+        part is left zero: the strict lower triangle is the one triangle
+        the eigensolvers read (see `linalg.top_eigs`).
+
+        Row i of the upper triangle is column i of the lower one. Each
+        block of _FILL_BLOCK_ROWS rows is unpacked from its contiguous run
+        of packed bits into a small uint8 buffer and copied into place,
+        transposed, with no n x n mask or bit vector.
+        """
+        n = self.n
+        out = np.zeros((n, n))
+        rows = min(n, _FILL_BLOCK_ROWS)
+        # buf[r, c] for c > r is pair (i + r, i + c) of the block at row i;
+        # the rest of buf is never written and stays zero
+        buf = np.zeros((rows, n), dtype=np.uint8)
+        after = _triu_mask(rows, n)
+        start = 0
+        for i in range(0, n, rows):
+            b, width = min(rows, n - i), n - i
+            stop = start + b * (2 * width - b - 1) // 2
+            first = start // 8
+            run = np.unpackbits(self._packed[first:-(-stop // 8)])
+            block = buf[:b, :width]
+            block[after[:b, :width]] = run[start - 8 * first:stop - 8 * first]
+            out[i:, i:i + b] = block.T
+            if not lower_only:
+                out[i:i + b, i:] += block
+            start = stop
         return out
 
     def edges(self):
         """Edge list as an (m, 2) int array of pairs (i, j) with i < j."""
         upper = np.zeros((self.n, self.n), dtype=bool)
-        upper[_triu_mask(self.n)] = self.triu_bits()
+        upper[_triu_mask(self.n, self.n)] = self.triu_bits()
         return np.argwhere(upper)
 
     @classmethod
@@ -250,18 +291,53 @@ def _check_probabilities(p, what, index=None):
 
 
 def sample_adjacency(x, seed):
-    """Sample A with A_ij ~ Bernoulli(X_i^T X_j) independently for i < j."""
+    """Sample A with A_ij ~ Bernoulli(X_i^T X_j) independently for i < j.
+
+    The probabilities are made one block of rows at a time, as
+    rows[i:j] @ rows[i:].T, and each block draws its uniforms right after
+    the blocks above it. Consecutive Philox `random(k)` calls yield the
+    same doubles as one call, and a block product rounds like the full
+    gram X X^T, so the bits do not depend on the block size and no n x n
+    array is made. Every diagonal entry X_i^T X_i is checked before any
+    pair, and a rejected input leaves a Generator `seed` as it was.
+    """
     rows = x.rows if isinstance(x, LatentMatrix) else np.asarray(x, dtype=float)
     n = rows.shape[0]
-    gram = rows @ rows.T
-    probs = gram[_triu_mask(n)]
-    # gram is symmetric, so its diagonal and the drawn upper triangle hold
-    # every value it has
-    _check_probabilities(np.diagonal(gram), "edge", lambda k: (k, k))
-    _check_probabilities(probs, "edge",
-                         lambda k: np.argwhere(_triu_mask(n))[k])
     rng = as_generator(seed)
-    return AdjacencyMatrix(n, rng.random(probs.shape[0]) < probs)
+    entry = rng.bit_generator.state
+    bits = np.empty(_triu_size(n), dtype=bool)
+    # a block has at most sqrt(_SAMPLE_BLOCK_AREA) rows unless it is one row
+    after = _triu_mask(min(n, max(1, math.isqrt(_SAMPLE_BLOCK_AREA))), n)
+    pair_error = None  # the first pair out of range, raised after the diagonal
+    i = start = 0
+    try:
+        while i < n:
+            # a block's product covers columns i: only, so its area, not
+            # just its pair count, stays near _SAMPLE_BLOCK_AREA
+            j = min(n, i + max(1, _SAMPLE_BLOCK_AREA // (n - i)))
+            gram = rows[i:j] @ rows[i:].T
+            _check_probabilities(np.diagonal(gram), "edge",
+                                 lambda k: (i + k, i + k))
+            if pair_error is None:
+                upper = after[:j - i, :n - i]
+                probs = gram[upper]
+                try:
+                    _check_probabilities(probs, "edge",
+                                         lambda k: np.argwhere(upper)[k] + i)
+                except ModelViolationError as err:
+                    pair_error = err
+                else:
+                    stop = start + probs.shape[0]
+                    np.less(rng.random(stop - start), probs,
+                            out=bits[start:stop])
+                    start = stop
+            i = j
+        if pair_error is not None:
+            raise pair_error
+    except ModelViolationError:
+        rng.bit_generator.state = entry  # a rejected graph draws nothing
+        raise
+    return AdjacencyMatrix(n, bits)
 
 
 def sample_oos_edges(x, wbar, seed):

@@ -103,6 +103,18 @@ def test_ase_requires_adjacency_type():
         ase(np.eye(4) - np.eye(4), 1)
 
 
+@pytest.mark.parametrize("n", [60, 255, 300, 1000])
+def test_ase_equals_embedding_of_the_full_matrix(n):
+    # ase embeds the lower triangle only; both eigensolver paths must give
+    # the bits of the full symmetric matrix
+    a = sample_adjacency(sample_latents(MIX, n, seed=n), seed=n + 1)
+    for d in (1, 2):
+        got, want = ase(a, d), embed_matrix(a.to_dense(), d)
+        assert np.array_equal(got.positions, want.positions)
+        assert np.array_equal(got.eig.values, want.eig.values)
+        assert np.array_equal(got.eig.vectors, want.eig.vectors)
+
+
 def test_row_errors_concentrate_at_moderate_n():
     # regression band calibrated by a 100-trial run at n=500 with these
     # seeds: the worst aligned row error stays below 0.31 in >= 95 trials

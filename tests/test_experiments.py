@@ -107,6 +107,20 @@ def test_clt_summary_centres_a_fixed_wbar_between_the_atoms():
     assert abs(summary["atoms"][0]["mean"][0] - 0.5) < 0.01
 
 
+def test_config_rejects_a_wbar_no_trial_can_use():
+    dist = LatentDistribution(1, [((0.2,), 0.5), ((0.8,), 0.5)])
+    for study, grid in (("clt_ls", (50,)), ("rate_sweep", (50, 60, 70, 80))):
+        with pytest.raises(ConfigError, match="w-bar dimension 2 does not "
+                                              "match distribution dimension 1"):
+            ExperimentConfig(study=study, dist=dist, n_grid=grid, wbar=[0.5, 0.5])
+        # 0.8 * 2.0 = 1.6 is no edge probability, nor is NaN
+        for bad in ([2.0], [-0.5], [float("nan")]):
+            with pytest.raises(ConfigError, match=r"not all in \[0, 1\]"):
+                ExperimentConfig(study=study, dist=dist, n_grid=grid, wbar=bad)
+    # the boundary is allowed: 0.8 * 1.25 = 1.0
+    ExperimentConfig(study="clt_ls", dist=dist, n_grid=(50,), wbar=[1.25])
+
+
 def test_clt_study_draws_wbar_from_mixture_by_default():
     cfg = ExperimentConfig(
         study="clt_ls", dist=MIX, n_grid=(50,), trials=40, master_seed=11

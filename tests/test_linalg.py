@@ -102,6 +102,16 @@ def test_top_eigs_lanczos_matches_dense_oracle(n, eigsh_calls):
     assert np.array_equal(from_lower.vectors, pairs.vectors)
 
 
+@pytest.mark.parametrize("n", [60, 255, 300, 1000])
+def test_top_eigs_reads_only_the_lower_triangle(n, eigsh_calls):
+    # ase hands top_eigs an array whose upper part is zero
+    m = sample_adjacency(sample_latents(MIX, n, seed=n), seed=n + 1).to_dense()
+    full, lower = top_eigs(m, 2), top_eigs(np.tril(m), 2)
+    assert len(eigsh_calls) == (2 if n >= LANCZOS_MIN_ORDER else 0)
+    assert np.array_equal(lower.values, full.values)
+    assert np.array_equal(lower.vectors, full.vectors)
+
+
 def test_top_eigs_lanczos_balanced_two_block_noiseless(eigsh_calls):
     # the second eigenvector is +-1/sqrt(n) by block: orthogonal to the
     # all-ones vector, and every entry ties in magnitude with every other

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oos_ase.model as model
 from oos_ase import (
     AdjacencyMatrix,
     ConfigError,
@@ -241,3 +244,107 @@ def test_sampling_is_reproducible_property(seed):
     a1 = sample_adjacency(x1, seed=seed + 1)
     a2 = sample_adjacency(x2, seed=seed + 1)
     assert a1 == a2
+
+
+def _full_gram_sampler(rows, seed):
+    """The sampler before row blocks, kept as the oracle: the whole n x n
+    gram, its diagonal then its strict upper triangle checked, then one
+    draw of n(n-1)/2 uniforms."""
+    n = rows.shape[0]
+    upper = np.arange(n)[:, None] < np.arange(n)
+    gram = rows @ rows.T
+    probs = gram[upper]
+    for p, where in ((np.diagonal(gram), lambda k: (k, k)),
+                     (probs, lambda k: np.argwhere(upper)[k])):
+        valid = (p >= 0.0) & (p <= 1.0)
+        if not valid.all():
+            k = int(np.argmin(valid))
+            loc = tuple(int(v) for v in where(k))
+            raise ModelViolationError(
+                f"edge probability {p[k]} outside [0, 1] at index {loc}")
+    rng = np.random.Generator(np.random.Philox(seed))
+    return AdjacencyMatrix(n, rng.random(probs.shape[0]) < probs)
+
+
+def _block_sampler(rows, seed, area):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_SAMPLE_BLOCK_AREA", area)
+        return sample_adjacency(rows, seed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 120), st.integers(1, 3), st.integers(0, 2**32 - 1),
+       st.integers(1, 3000), st.booleans())
+def test_row_block_sampler_matches_full_gram_property(n, d, seed, area, atoms):
+    rng = np.random.default_rng(seed)
+    # inner products of rows in [0, 1/sqrt(d)]^d lie in [0, 1]; a few
+    # repeated atoms, as sample_latents draws them, or all rows distinct
+    points = rng.random((3 if atoms else n, d)) / np.sqrt(d)
+    rows = points[rng.integers(0, 3, n)] if atoms else points
+    assert _block_sampler(rows, seed, area) == _full_gram_sampler(rows, seed)
+
+
+@pytest.mark.parametrize("n", [999, 2000])
+def test_row_block_sampler_matches_full_gram_on_mixture(n):
+    x = sample_latents(MIX, n, seed=n)
+    want = _full_gram_sampler(x.rows, 7)
+    assert sample_adjacency(x, 7) == want
+    assert _block_sampler(x.rows, 7, 777) == want
+
+
+def _rejected_rows(case):
+    rows = np.tile([0.0, 0.5], (12, 1))
+    rows[8] = (0.5, 0.0)
+    if case == "negative":
+        rows[9] = (-0.5, 0.2)  # <x8, x9> = -0.25; every other pair is valid
+    elif case == "diagonal-after-pair":
+        rows[1] = (-0.5, 0.2)  # <x1, x8> = -0.25, in the first block
+        rows[10] = (0.0, 1.2)  # |x10|^2 = 1.44, in a later block
+    else:
+        rows[10] = (np.nan, 0.5)
+    return rows
+
+
+@pytest.mark.parametrize("area", [1, 7, 2**16])
+@pytest.mark.parametrize("case", ["negative", "diagonal-after-pair", "nan"])
+def test_row_block_sampler_rejects_like_full_gram(case, area):
+    rows = _rejected_rows(case)
+    with pytest.raises(ModelViolationError) as want:
+        _full_gram_sampler(rows, 3)
+    rng = np.random.Generator(np.random.Philox(3))
+    with pytest.raises(ModelViolationError) as got:
+        _block_sampler(rows, rng, area)
+    assert str(got.value) == str(want.value)
+    # nothing was drawn: the caller's generator goes on from where it was
+    fresh = np.random.Generator(np.random.Philox(3))
+    assert np.array_equal(rng.random(8), fresh.random(8))
+
+
+def test_sample_adjacency_memory_stays_in_blocks():
+    # the bits take n(n-1)/2 bytes (4.3 MB at n = 3000); a full gram, its
+    # mask and its upper triangle took 141.6 MB
+    x = sample_latents(MIX, 3000, seed=0)
+    tracemalloc.start()
+    try:
+        sample_adjacency(x, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 256, 257, 300, 1000])
+def test_dense_fills_from_the_packed_bits(n):
+    size = n * (n - 1) // 2
+    rng = np.random.default_rng(n)
+    upper = np.triu_indices(n, 1)  # row-major, the packed pair order
+    for bits in (np.zeros(size, dtype=bool), np.ones(size, dtype=bool),
+                 rng.random(size) < 0.4):
+        a = AdjacencyMatrix(n, bits)
+        want = np.zeros((n, n))
+        want[upper[1], upper[0]] = bits
+        lower = a._dense(lower_only=True)
+        assert lower.dtype == np.float64 and lower.flags.c_contiguous
+        assert np.array_equal(lower, want)
+        want[upper] = bits
+        assert np.array_equal(a.to_dense(), want)
