@@ -182,8 +182,8 @@ def summarize_clt(cfg, records):
 
     Records are grouped by the atom nearest their w-bar, and every record
     of a group shares that w-bar: the atom itself when w-bar is drawn from
-    F, cfg.wbar when it is fixed. Each group is centred on its w-bar, with
-    the covariance Sigma(w-bar) / n.
+    F, cfg.wbar when it is fixed. Each group is centred on its w-bar, which
+    it records as "wbar", with the covariance Sigma(w-bar) / n.
 
     Pure fold over the records: everything here is recomputable from the
     persisted trial rows plus the study configuration.
@@ -212,6 +212,7 @@ def summarize_clt(cfg, records):
         inside95 += in95
         entry = {
             "atom": [float(v) for v in atom],
+            "wbar": [float(v) for v in wbar],
             "count": len(by_atom[idx]),
             "mean": [float(v) for v in aligned.mean(axis=0)],
             "coverage68": in68 / len(by_atom[idx]),

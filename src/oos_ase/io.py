@@ -23,9 +23,10 @@ EDGE_HEADER = "oos-ase graph n="
 # Largest graph order read_edge_list accepts. The header is checked before
 # anything is allocated. At this order the graph's bit buffer of n(n-1)/2
 # bytes takes 200 MB, and embedding the graph builds a dense n x n float64
-# matrix of 3.2 GB. The header does not bound the reader's other memory:
-# it parses the body into int64 pairs, 16 bytes per edge line, in
-# proportion to the file (an edge line takes at least 4 bytes).
+# matrix of 3.2 GB. The header does not bound the reader's other memory,
+# which grows with the file (an edge line takes at least 4 bytes): it holds
+# the body, as text and then as bytes, its int64 pairs, 16 bytes per edge
+# line, and the temporaries of one block of lines.
 MAX_ORDER = 20_000
 
 # Whitespace as np.loadtxt splits on it: what str.isspace calls space,
@@ -58,21 +59,64 @@ def _text_file(path, error=FileFormatError, **kwargs):
 
 # ---------------------------------------------------------------- graphs
 
+# Edge lists are written this many lines at a time, and read in windows of
+# 8 bytes per line of it, about 15 000 lines of a graph of order 2000.
+# Blocks this small keep the parser's temporaries in cache; neither size
+# changes a result.
+_EDGE_BLOCK = 2**14
+# The token delimiters of an edge line in the writer's layout, " " and
+# "\n", read as one uint16.
+_LINE_DELIMS = np.frombuffer(b" \n", dtype=np.uint16)[0]
+# An int64 holds every number of 18 decimal digits.
+_MAX_DIGITS = 18
+_POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
+
+
 def write_edge_list(adj, path):
     """Header line, then one line "i j" per edge, in the order of edges().
-    Each vertex name is formatted once; a row's lines are one join."""
+
+    Each vertex has two NUL-padded 8-byte codes, its name followed by " "
+    and by "\n"; a block of lines is the codes of its edges, gathered,
+    with the NUL bytes dropped. A name has at most 7 digits: an order of
+    10^7 would take 6 TB of packed bits.
+    """
+    n = adj.n
     pairs = adj.edges()
-    names = np.array([str(v) for v in range(adj.n)], dtype=object)
-    rows = np.split(names[pairs[:, 1]],
-                    np.searchsorted(pairs[:, 0], np.arange(1, adj.n)))
-    with open(path, "w") as fh:
-        fh.write(f"{EDGE_HEADER}{adj.n}\n")
-        for i, js in enumerate(rows):
-            if js.size:
-                fh.write(f"{i} " + f"\n{i} ".join(js) + "\n")
+    names = np.arange(n).astype("S8").view(np.uint8).reshape(n, 8)
+    codes = np.stack((names, names))
+    codes[:, np.arange(n), np.count_nonzero(names, axis=1)] = [
+        [ord(" ")], [ord("\n")]]
+    codes = codes.view(np.uint64).reshape(2, n)
+    lines = np.empty((min(_EDGE_BLOCK, len(pairs)), 2), dtype=np.uint64)
+    with open(path, "wb") as fh:
+        fh.write(f"{EDGE_HEADER}{n}\n".encode())
+        for start in range(0, len(pairs), _EDGE_BLOCK):
+            block = pairs[start:start + _EDGE_BLOCK]
+            out = lines[:len(block)]
+            np.take(codes[0], block[:, 0], out=out[:, 0])
+            np.take(codes[1], block[:, 1], out=out[:, 1])
+            text = out.view(np.uint8).reshape(-1)
+            fh.write(text[text != 0])
 
 
 def read_edge_list(path):
+    """Graph of an edge list: the header line, then one line per edge.
+
+    The header is checked before anything is allocated. The body is read
+    as text, so "\r\n" and a lone "\r" end a line like "\n", and takes
+    one of two routes, chosen by its characters alone:
+
+    - a body in exactly the layout of write_edge_list (lines of two
+      tokens of 1-18 ASCII digits, one space between them, each ended by
+      "\n") is parsed by whole-array byte operations, a block of lines at
+      a time (_parse_edge_lines);
+    - any other body goes to np.loadtxt (_load_edge_lines), which also
+      takes blank lines, tabs and other spaces, signs and tokens after
+      the pair, and names the first line it cannot read.
+
+    Both routes give the same pairs where both apply, and share the range
+    check, whose error names the line of the first bad pair.
+    """
     with _text_file(path) as fh:
         header = fh.readline().rstrip("\n")
         if not header.startswith(EDGE_HEADER):
@@ -86,19 +130,14 @@ def read_edge_list(path):
                 f"{path}: order {n} in header outside [1, {MAX_ORDER}]"
             )
         start = fh.tell()
-        pairs = np.empty((0, 2), dtype=np.int64)
-        # loadtxt warns when it finds no data; this stops at the first line
-        # that has some
-        if any(not line.isspace() for line in fh):
-            fh.seek(start)
-            try:
-                pairs = np.loadtxt(fh, dtype=np.int64, usecols=(0, 1),
-                                   ndmin=2, comments=None)
-            except ValueError as exc:  # a UnicodeDecodeError recurs below
-                lineno, line = _body_line(fh, start, _BAD_EDGE_LINE)
-                if lineno is None:
-                    raise FileFormatError(f"{path}: bad edge list ({exc})")
-                raise FileFormatError(f"{path}:{lineno}: bad edge line {line!r}")
+        body = fh.read()
+        pairs = None
+        if body.isascii():
+            body = body.encode("ascii")
+            pairs = _parse_edge_lines(body)
+        del body  # the loadtxt route reads the file again
+        if pairs is None:
+            pairs = _load_edge_lines(fh, start, path)
         i, j = pairs[:, 0], pairs[:, 1]
         ok = (0 <= i) & (i < j) & (j < n)
         if not ok.all():
@@ -108,6 +147,77 @@ def read_edge_list(path):
                 f"{path}:{lineno}: edge ({i[k]},{j[k]}) out of range for n={n}"
             )
     return AdjacencyMatrix.from_edges(n, pairs)
+
+
+def _parse_edge_lines(body):
+    """(m, 2) int64 pairs of the bytes of an edge-list body in the
+    writer's layout, or None if the body is in any other.
+
+    The pairs array is made once, from the count of line breaks; each
+    window of at most 8 * _EDGE_BLOCK bytes, cut after a line break, is
+    checked and parsed with a few temporaries of its own size.
+    """
+    if body and not body.endswith(b"\n"):
+        return None
+    pairs = np.empty((body.count(b"\n"), 2), dtype=np.int64)
+    values = pairs.reshape(-1)
+    raw = np.frombuffer(body, dtype=np.uint8)
+    start = done = 0
+    while start < raw.size:
+        stop = body.rfind(b"\n", start, start + 8 * _EDGE_BLOCK) + 1
+        if stop == 0:  # a line longer than any in the layout
+            return None
+        block = raw[start:stop]
+        # every byte is a digit, or a space or line break ending a token;
+        # those two are the bytes below "0", and they must alternate
+        end = np.flatnonzero(block < ord("0"))
+        if (block.max() > ord("9") or end.size % 2
+                or not np.all(block[end].view(np.uint16) == _LINE_DELIMS)):
+            return None
+        width = np.diff(end, prepend=-1)
+        width -= 1
+        if not (width.min() >= 1 and width.max() <= _MAX_DIGITS):
+            return None
+        values[done:done + end.size] = _token_values(block, end, width)
+        done += end.size
+        start = stop
+    return pairs
+
+
+def _token_values(block, end, width):
+    """Values of the decimal tokens of `block` that end before the
+    positions `end` and have `width` digits, summed a place at a time."""
+    values = np.zeros(end.size, dtype=np.int64)
+    at = end - 1
+    for place in range(int(width.max())):
+        # where a token is shorter, `at` has left it (or the block, which
+        # "clip" allows) and the digit counts zero
+        digit = block.take(at, mode="clip")
+        digit -= ord("0")
+        digit *= width > place
+        values += digit * _POW10[place]
+        at -= 1
+    return values
+
+
+def _load_edge_lines(fh, start, path):
+    """(m, 2) int64 pairs of any body np.loadtxt reads, from the text file
+    fh whose body starts at `start`; FileFormatError names the first line
+    it cannot read."""
+    fh.seek(start)
+    # loadtxt warns when it finds no data; this stops at the first line
+    # that has some
+    if not any(not line.isspace() for line in fh):
+        return np.empty((0, 2), dtype=np.int64)
+    fh.seek(start)
+    try:
+        return np.loadtxt(fh, dtype=np.int64, usecols=(0, 1), ndmin=2,
+                          comments=None)
+    except ValueError as exc:
+        lineno, line = _body_line(fh, start, _BAD_EDGE_LINE)
+        if lineno is None:
+            raise FileFormatError(f"{path}: bad edge list ({exc})")
+        raise FileFormatError(f"{path}:{lineno}: bad edge line {line!r}")
 
 
 def _body_line(fh, start, pattern, k=0):

@@ -35,6 +35,13 @@ from .errors import ConfigError, SingularityError
 LANCZOS_MIN_ORDER = 256
 LANCZOS_ORDER_PER_K = 64
 
+# top_eigs checks finiteness this many rows at a time, so its bool
+# temporary is 64 x n, not n x n. It was also the fastest check measured
+# (min of 40 on a 2-vCPU VM): at n = 3000 it took 5.0 ms against 8.8 ms
+# for one n x n `np.isfinite` and 6.3 ms for `min` and `max`; at n = 1600,
+# 1.0 ms against 1.0 and 1.7 ms.
+_FINITE_CHECK_ROWS = 64
+
 # Columns are flipped so the largest-magnitude entry of each eigenvector is
 # positive (ties broken by lowest index). Any orthogonal transform of the
 # latent positions gives the same graph distribution, so a fixed
@@ -137,7 +144,8 @@ def top_eigs(m, k):
     n = m.shape[0]
     if not 1 <= k <= n:
         raise ConfigError(f"k={k} out of range for order {n}")
-    if not np.isfinite(m).all():
+    if not all(np.isfinite(m[i:i + _FINITE_CHECK_ROWS]).all()
+               for i in range(0, n, _FINITE_CHECK_ROWS)):
         raise ConfigError("matrix contains non-finite entries")
     vals = None
     if n >= LANCZOS_MIN_ORDER and k * LANCZOS_ORDER_PER_K <= n:

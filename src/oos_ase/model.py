@@ -110,6 +110,15 @@ def _triu_size(n):
     return n * (n - 1) // 2
 
 
+def _row_start(n, i):
+    """Offset of row i's first pair in the packed order of an order-n
+    graph: it follows the (n-1) + ... + (n-i) pairs of the rows above,
+    i (2n - i - 1) / 2 in all. i is an int or an int64 array."""
+    start = i * (2 * n - 1 - i)
+    start //= 2
+    return start
+
+
 def _triu_mask(rows, cols):
     """Boolean rows x cols mask of the entries (r, c) with c > r, the
     strict upper triangle when rows == cols. Boolean indexing walks it in
@@ -190,7 +199,7 @@ class AdjacencyMatrix:
         start = 0
         for i in range(0, n, rows):
             b, width = min(rows, n - i), n - i
-            stop = start + b * (2 * width - b - 1) // 2
+            stop = _row_start(n, i + b)
             first = start // 8
             run = np.unpackbits(self._packed[first:-(-stop // 8)])
             block = buf[:b, :width]
@@ -202,10 +211,24 @@ class AdjacencyMatrix:
         return out
 
     def edges(self):
-        """Edge list as an (m, 2) int array of pairs (i, j) with i < j."""
-        upper = np.zeros((self.n, self.n), dtype=bool)
-        upper[_triu_mask(self.n, self.n)] = self.triu_bits()
-        return np.argwhere(upper)
+        """Edge list as an (m, 2) int array of pairs (i, j) with i < j, in
+        the packed pair order: by row, then by column."""
+        n = self.n
+        bits = self.triu_bits().view(bool)
+        found = np.flatnonzero(bits)
+        rows = np.arange(n)
+        start = _row_start(n, rows)
+        # every row but the last holds a pair, so these starts increase
+        counts = np.zeros(n, dtype=np.intp)
+        if n > 1:
+            counts[:-1] = np.add.reduceat(bits, start[:-1], dtype=np.intp)
+        pairs = np.empty((found.size, 2), dtype=np.intp)
+        pairs[:, 0] = np.repeat(rows, counts)
+        # pair (i, j) sits at start(i) + j - i - 1
+        start -= rows + 1
+        pairs[:, 1] = found
+        pairs[:, 1] -= np.repeat(start, counts)
+        return pairs
 
     @classmethod
     def from_edges(cls, n, pairs):
@@ -225,12 +248,10 @@ class AdjacencyMatrix:
         i, j = pairs[:, 0], pairs[:, 1]
         if not np.all((0 <= i) & (i < j) & (j < n)):
             raise ConfigError(f"edge out of range: need 0 <= i < j < {n}")
-        # Row i of the packed order starts after the (n-1) + ... + (n-i)
-        # pairs of the rows above it, i (2n - i - 1) / 2 in all, and (i, j)
-        # is its (j - i - 1)-th pair. In place, to keep temporaries few.
-        i = i.astype(np.int64)
-        offset = i * (2 * n - 1 - i)
-        offset //= 2
+        # (i, j) is the (j - i - 1)-th pair of row i. In place, to keep
+        # temporaries few.
+        i = i.astype(np.int64, copy=False)
+        offset = _row_start(n, i)
         offset += j
         offset -= i + 1
         bits = np.zeros(_triu_size(n), dtype=bool)

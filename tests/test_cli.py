@@ -119,22 +119,44 @@ def _per_edge_edge_list(adj):
     return out.encode()
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 11, 101, 1000])
+# Edges whose vertex names cross every digit width of a graph of order
+# 10 001, where the writer's name codes change length.
+NAME_WIDTH_EDGES = [(0, 9), (9, 10), (10, 99), (99, 100), (100, 9999),
+                    (9999, 10000), (0, 10000)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 10, 11, 100, 101, 1000, 10_001])
 def test_edge_list_writer_matches_per_edge_loop(tmp_path, n):
     size = n * (n - 1) // 2
     rng = np.random.default_rng(n)
-    graphs = {
-        "empty": np.zeros(size, dtype=bool),
-        "complete": np.ones(size, dtype=bool),
-        "half": rng.random(size) < 0.5,
-        "sparse": rng.random(size) < 0.01,
-    }
-    for name, bits in graphs.items():
-        adj = AdjacencyMatrix(n, bits)
+    if n > 1000:  # a sparse graph only: the others have 10^7 edges or more
+        graphs = {"name widths": AdjacencyMatrix.from_edges(
+            n, NAME_WIDTH_EDGES)}
+    else:
+        graphs = {name: AdjacencyMatrix(n, bits) for name, bits in {
+            "empty": np.zeros(size, dtype=bool),
+            "complete": np.ones(size, dtype=bool),
+            "half": rng.random(size) < 0.5,
+            "sparse": rng.random(size) < 0.01,
+        }.items()}
+    for name, adj in graphs.items():
         path = tmp_path / f"{name}.txt"
         io.write_edge_list(adj, path)
         assert path.read_bytes() == _per_edge_edge_list(adj), name
         assert io.read_edge_list(path) == adj, name
+
+
+def test_edge_list_reader_parses_the_writers_layout_without_loadtxt(
+        tmp_path, monkeypatch):
+    adj, _, _, _ = _sample_fixture(1000, 4)
+    path = tmp_path / "g.txt"
+    io.write_edge_list(adj, path)
+
+    def no_loadtxt(*args, **kwargs):
+        raise AssertionError("np.loadtxt called on the writer's layout")
+
+    monkeypatch.setattr(np, "loadtxt", no_loadtxt)
+    assert io.read_edge_list(path) == adj
 
 
 def test_edge_list_reader_accepts_loose_layout(tmp_path):

@@ -92,6 +92,8 @@ def test_clt_summary_is_pure_fold_of_records():
     for a in result.summary["atoms"]:
         assert 0.0 <= a["coverage68"] <= 1.0
         assert 0.0 <= a["coverage95"] <= 1.0
+        # w-bar is drawn from F, so each group is centred on its atom
+        assert a["wbar"] == a["atom"]
 
 
 def test_clt_summary_centres_a_fixed_wbar_between_the_atoms():
@@ -104,6 +106,9 @@ def test_clt_summary_centres_a_fixed_wbar_between_the_atoms():
     assert summary["failures"] == 0
     assert 0.85 <= summary["coverage95"] <= 1.0
     assert len(summary["atoms"]) == 1
+    # the group is labelled by its nearest atom but records its w-bar
+    assert summary["atoms"][0]["atom"] == [0.2]
+    assert summary["atoms"][0]["wbar"] == [0.5]
     assert abs(summary["atoms"][0]["mean"][0] - 0.5) < 0.01
 
 

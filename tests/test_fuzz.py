@@ -8,6 +8,7 @@ against the per-line parser it replaced, kept here as the reference.
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -162,3 +163,83 @@ def test_read_edge_list_body_matches_reference(workdir, n, body):
         assert str(exc)[len(f"{path}:"):].split(":")[0].isdigit()
         return
     assert got == want
+
+
+def _pad_first_token(line, digits):
+    token = re.match(rb"[0-9]*", line)[0]
+    return token.rjust(digits, b"0") + line[len(token):]
+
+
+# Edits of one line of a body in the writer's layout. All but "18 digits"
+# leave that layout, and then the body goes to np.loadtxt; so do the line
+# ends "lone cr" and "no final newline".
+_EDITS = {
+    "cr": lambda line: line + b"\r",  # the line ends "\r\n"
+    "tab": lambda line: line.replace(b" ", b"\t"),
+    "plus": lambda line: b"+" + line,
+    "leading space": lambda line: b" " + line,
+    "third token": lambda line: line + b" 7",
+    "blank line": lambda line: b"\n" + line,
+    "nbsp": lambda line: line.replace(b" ", "\xa0".encode()),
+    "letter": lambda line: line + b"x",
+    "18 digits": lambda line: _pad_first_token(line, 18),
+    "19 digits padded": lambda line: _pad_first_token(line, 19),
+    "19 digits": lambda line: line.split(b" ")[0] + b" " + b"9" * 19,
+    "out of range": lambda line: b" ".join(line.split(b" ")[::-1]),
+}
+_SAME_GRAPH = {"cr", "lone cr", "18 digits", "19 digits padded",
+               "no final newline"}
+
+
+def _pad_first_token(line, digits):
+    token = re.match(rb"[0-9]*", line)[0]
+    return token.rjust(digits, b"0") + line[len(token):]
+
+
+def _read_or_message(path):
+    try:
+        return io.read_edge_list(str(path))
+    except FileFormatError as exc:
+        return str(exc)
+
+
+@FUZZ
+@given(n=st.sampled_from([1, 2, 10, 11, 100, 101]),
+       density=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+       seed=st.integers(0, 2**16),
+       edits=st.lists(st.tuples(
+           st.sampled_from(["lone cr", "no final newline", *_EDITS]),
+           st.integers(0, 10**6)), max_size=2))
+def test_edge_list_reader_routes_agree(workdir, n, density, seed, edits):
+    """The block parser gives what np.loadtxt gives: the same graph, or
+    the same error, with the block parser made to decline every body.
+    Each body is a writer's file with no, one or two edits."""
+    rng = np.random.default_rng(seed)
+    adj = AdjacencyMatrix(n, rng.random(n * (n - 1) // 2) < density)
+    path = workdir / "g.txt"
+    io.write_edge_list(adj, path)
+    header, body = path.read_bytes().split(b"\n", 1)
+    same_graph = all(edit in _SAME_GRAPH for edit, _ in edits)
+    if not edits:
+        assert io._parse_edge_lines(body) is not None
+    else:
+        lines = body.split(b"\n")[:-1]
+        if not lines:  # an edge to edit, which n = 1 cannot hold
+            lines, same_graph = [b"0 1"], False
+        ends = [b"\n"] * len(lines)
+        for edit, at in edits:
+            k = at % len(lines)
+            if edit in _EDITS:
+                lines[k] = _EDITS[edit](lines[k])
+            elif edit == "lone cr":
+                ends[k] = b"\r"
+            else:
+                ends[-1] = b""
+        body = b"".join(line + end for line, end in zip(lines, ends))
+        path.write_bytes(header + b"\n" + body)
+    got = _read_or_message(path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io, "_parse_edge_lines", lambda body: None)
+        assert _read_or_message(path) == got
+    if same_graph:
+        assert got == adj

@@ -1,3 +1,4 @@
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -163,6 +164,30 @@ def test_top_eigs_rejects_nonfinite():
     m[0, 1] = m[1, 0] = np.nan
     with pytest.raises(ConfigError):
         top_eigs(m, 1)
+
+
+@pytest.mark.parametrize("row", [1, 150, 299])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_top_eigs_rejects_nonfinite_in_any_row(bad, row):
+    # the check walks the rows in blocks; the last row is in a short one
+    m = np.eye(300)
+    m[row, row - 1] = m[row - 1, row] = bad
+    with pytest.raises(ConfigError, match="non-finite"):
+        top_eigs(m, 1)
+
+
+def test_top_eigs_checks_finiteness_without_an_n_by_n_temporary(eigsh_calls):
+    # np.isfinite(m).all() made an n x n bool, 9 MB here, which was the
+    # whole traced peak of the call
+    m = sample_adjacency(sample_latents(MIX, 3000, seed=1), seed=2).to_dense()
+    tracemalloc.start()
+    try:
+        top_eigs(m, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert eigsh_calls == [2]
+    assert peak < 2 * 2**20, f"traced peak {peak / 2**20:.2f} MB"
 
 
 def test_top_eigs_k_range():

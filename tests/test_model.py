@@ -101,6 +101,8 @@ def test_from_edges_inverts_edges_property(n, seed, density):
     rng = np.random.default_rng(seed)
     adj = AdjacencyMatrix(n, rng.random(n * (n - 1) // 2) < density)
     pairs = adj.edges()
+    # the former n x n implementation is the oracle of the pair order
+    assert np.array_equal(pairs, np.argwhere(np.triu(adj.to_dense())))
     assert AdjacencyMatrix.from_edges(n, pairs) == adj
     # pair order and repeats do not matter
     shuffled = np.concatenate((pairs, pairs[: len(pairs) // 2]))
