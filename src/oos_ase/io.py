@@ -25,8 +25,8 @@ EDGE_HEADER = "oos-ase graph n="
 # bytes takes 200 MB, and embedding the graph builds a dense n x n float64
 # matrix of 3.2 GB. The header does not bound the reader's other memory,
 # which grows with the file (an edge line takes at least 4 bytes): it holds
-# the body, as text and then as bytes, its int64 pairs, 16 bytes per edge
-# line, and the temporaries of one block of lines.
+# the file's bytes, once, their int64 pairs, 16 bytes per edge line, and
+# the temporaries of one block of lines.
 MAX_ORDER = 20_000
 
 # Whitespace as np.loadtxt splits on it: what str.isspace calls space,
@@ -102,15 +102,16 @@ def write_edge_list(adj, path):
 def read_edge_list(path):
     """Graph of an edge list: the header line, then one line per edge.
 
-    The header is checked before anything is allocated. The body is read
-    as text, so "\r\n" and a lone "\r" end a line like "\n", and takes
-    one of two routes, chosen by its characters alone:
+    The header is checked, as text, before anything is allocated. The
+    body then takes one of two routes, chosen by the file's bytes alone:
 
-    - a body in exactly the layout of write_edge_list (lines of two
-      tokens of 1-18 ASCII digits, one space between them, each ended by
-      "\n") is parsed by whole-array byte operations, a block of lines at
-      a time (_parse_edge_lines);
-    - any other body goes to np.loadtxt (_load_edge_lines), which also
+    - a file of ASCII bytes with no "\r", whose body is in exactly the
+      layout of write_edge_list (lines of two tokens of 1-18 digits, one
+      space between them, each ended by "\n"), is parsed from its bytes
+      by whole-array byte operations, a block of lines at a time
+      (_parse_edge_lines);
+    - any other body is read as text, where "\r\n" and a lone "\r" end
+      a line like "\n", by np.loadtxt (_load_edge_lines), which also
       takes blank lines, tabs and other spaces, signs and tokens after
       the pair, and names the first line it cannot read.
 
@@ -118,7 +119,8 @@ def read_edge_list(path):
     check, whose error names the line of the first bad pair.
     """
     with _text_file(path) as fh:
-        header = fh.readline().rstrip("\n")
+        line = fh.readline()
+        header = line.rstrip("\n")
         if not header.startswith(EDGE_HEADER):
             raise FileFormatError(f"{path}: missing graph header")
         try:
@@ -130,12 +132,14 @@ def read_edge_list(path):
                 f"{path}: order {n} in header outside [1, {MAX_ORDER}]"
             )
         start = fh.tell()
-        body = fh.read()
+        with open(path, "rb") as raw:
+            data = raw.read()
         pairs = None
-        if body.isascii():
-            body = body.encode("ascii")
-            pairs = _parse_edge_lines(body)
-        del body  # the loadtxt route reads the file again
+        # ASCII bytes with no "\r" read as text unchanged, so the header
+        # line takes as many bytes as characters
+        if data.isascii() and b"\r" not in data:
+            pairs = _parse_edge_lines(data, len(line))
+        del data  # the loadtxt route reads the file again, as text
         if pairs is None:
             pairs = _load_edge_lines(fh, start, path)
         i, j = pairs[:, 0], pairs[:, 1]
@@ -149,22 +153,22 @@ def read_edge_list(path):
     return AdjacencyMatrix.from_edges(n, pairs)
 
 
-def _parse_edge_lines(body):
-    """(m, 2) int64 pairs of the bytes of an edge-list body in the
-    writer's layout, or None if the body is in any other.
+def _parse_edge_lines(data, start):
+    """(m, 2) int64 pairs of the edge-list body that starts at byte
+    `start` of `data`, or None if the body is not in the writer's layout.
 
     The pairs array is made once, from the count of line breaks; each
     window of at most 8 * _EDGE_BLOCK bytes, cut after a line break, is
     checked and parsed with a few temporaries of its own size.
     """
-    if body and not body.endswith(b"\n"):
+    if len(data) > start and not data.endswith(b"\n"):
         return None
-    pairs = np.empty((body.count(b"\n"), 2), dtype=np.int64)
+    pairs = np.empty((data.count(b"\n", start), 2), dtype=np.int64)
     values = pairs.reshape(-1)
-    raw = np.frombuffer(body, dtype=np.uint8)
-    start = done = 0
+    raw = np.frombuffer(data, dtype=np.uint8)
+    done = 0
     while start < raw.size:
-        stop = body.rfind(b"\n", start, start + 8 * _EDGE_BLOCK) + 1
+        stop = data.rfind(b"\n", start, start + 8 * _EDGE_BLOCK) + 1
         if stop == 0:  # a line longer than any in the layout
             return None
         block = raw[start:stop]
@@ -195,7 +199,8 @@ def _token_values(block, end, width):
         digit = block.take(at, mode="clip")
         digit -= ord("0")
         digit *= width > place
-        values += digit * _POW10[place]
+        # int64 by dtype: numpy 1.x would keep uint8 for a small power
+        values += np.multiply(digit, _POW10[place], dtype=np.int64)
         at -= 1
     return values
 

@@ -159,6 +159,24 @@ def test_edge_list_reader_parses_the_writers_layout_without_loadtxt(
     assert io.read_edge_list(path) == adj
 
 
+def test_edge_list_block_route_sums_every_digit_place_in_int64(
+        tmp_path, monkeypatch):
+    # names past 255 and up to 18 digits: a digit times a power of ten
+    # must not be summed in the uint8 of the file's bytes
+    def no_loadtxt(*args, **kwargs):
+        raise AssertionError("np.loadtxt called on the writer's layout")
+
+    monkeypatch.setattr(np, "loadtxt", no_loadtxt)
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"oos-ase graph n=600\n256 599\n300 500\n")
+    assert io.read_edge_list(path).edges().tolist() == [[256, 599],
+                                                       [300, 500]]
+    path.write_bytes(b"oos-ase graph n=3\n0 1\n1 987654321098765432\n")
+    with pytest.raises(FileFormatError, match=(
+            r":3: edge \(1,987654321098765432\) out of range for n=3$")):
+        io.read_edge_list(path)
+
+
 def test_edge_list_reader_accepts_loose_layout(tmp_path):
     # blank and space-only lines, CRLF and lone CR line ends, tabs,
     # tokens after the pair, a repeated edge, no final line break

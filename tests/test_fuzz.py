@@ -191,11 +191,6 @@ _SAME_GRAPH = {"cr", "lone cr", "18 digits", "19 digits padded",
                "no final newline"}
 
 
-def _pad_first_token(line, digits):
-    token = re.match(rb"[0-9]*", line)[0]
-    return token.rjust(digits, b"0") + line[len(token):]
-
-
 def _read_or_message(path):
     try:
         return io.read_edge_list(str(path))
@@ -221,7 +216,7 @@ def test_edge_list_reader_routes_agree(workdir, n, density, seed, edits):
     header, body = path.read_bytes().split(b"\n", 1)
     same_graph = all(edit in _SAME_GRAPH for edit, _ in edits)
     if not edits:
-        assert io._parse_edge_lines(body) is not None
+        assert io._parse_edge_lines(body, 0) is not None
     else:
         lines = body.split(b"\n")[:-1]
         if not lines:  # an edge to edit, which n = 1 cannot hold
@@ -239,7 +234,7 @@ def test_edge_list_reader_routes_agree(workdir, n, density, seed, edits):
         path.write_bytes(header + b"\n" + body)
     got = _read_or_message(path)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(io, "_parse_edge_lines", lambda body: None)
+        mp.setattr(io, "_parse_edge_lines", lambda data, start: None)
         assert _read_or_message(path) == got
     if same_graph:
         assert got == adj
