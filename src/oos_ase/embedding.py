@@ -88,5 +88,5 @@ def ase(a, d):
     if not isinstance(a, AdjacencyMatrix):
         raise ConfigError("ase expects an AdjacencyMatrix (use embed_matrix "
                           "for raw symmetric input)")
-    return embed_matrix(a._dense(lower_only=True), d)
+    return embed_matrix(a._lower_dense(), d)
 

@@ -6,9 +6,7 @@ ordered deterministically, and JSON is dumped with sorted keys.
 import csv
 import json
 import os
-import re
 from contextlib import contextmanager
-from itertools import islice
 
 import numpy as np
 
@@ -21,25 +19,14 @@ from .model import AdjacencyMatrix, EdgeVector, LatentDistribution
 EDGE_HEADER = "oos-ase graph n="
 
 # Largest graph order read_edge_list accepts. The header is checked before
-# anything is allocated. At this order the graph's bit buffer of n(n-1)/2
-# bytes takes 200 MB, and embedding the graph builds a dense n x n float64
-# matrix of 3.2 GB. The header does not bound the reader's other memory,
-# which grows with the file (an edge line takes at least 4 bytes): it holds
-# the file's bytes, once, their int64 pairs, 16 bytes per edge line, and
-# the temporaries of one block of lines.
+# anything sized by it is allocated. At this order the graph's bit buffer of
+# n(n-1)/2 bytes takes 200 MB, and embedding the graph builds a dense n x n
+# float64 matrix of 3.2 GB. The header does not bound the reader's other
+# memory, which grows with the file (an edge line takes at least 4 bytes):
+# the file's bytes, read once; their int64 pairs, 16 bytes per edge line,
+# held twice while the windows' pairs are joined; and the temporaries of one
+# window of lines.
 MAX_ORDER = 20_000
-
-# Whitespace as np.loadtxt splits on it: what str.isspace calls space,
-# except the line break.
-_SPACE = r"[^\S\n]"
-# An edge line holds two integers that fit in int64 and may go on after a
-# space; a blank line holds nothing else. The pattern finds the first line
-# that is neither. It runs only after the parser has failed, to name it.
-_INT = r"[+-]?0*[0-9]{1,18}"
-_BAD_EDGE_LINE = re.compile(
-    rf"^(?!{_SPACE}*(?:{_INT}{_SPACE}+{_INT}(?:{_SPACE}.*)?)?$).*", re.M
-)
-_DATA_LINE = re.compile(rf"^{_SPACE}*\S.*", re.M)
 
 
 def fmt(x):
@@ -64,12 +51,14 @@ def _text_file(path, error=FileFormatError, **kwargs):
 # Blocks this small keep the parser's temporaries in cache; neither size
 # changes a result.
 _EDGE_BLOCK = 2**14
-# The token delimiters of an edge line in the writer's layout, " " and
-# "\n", read as one uint16.
-_LINE_DELIMS = np.frombuffer(b" \n", dtype=np.uint16)[0]
 # An int64 holds every number of 18 decimal digits.
 _MAX_DIGITS = 18
 _POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
+# The pre-pass's byte map, applied once "\r\n" is "\n": a "\r" left ends a
+# line, and any other ASCII byte that str.isspace calls space becomes " ".
+_SPACES = bytes(c for c in range(128)
+                if chr(c).isspace() and c not in b"\r\n")
+_PREPASS = bytes.maketrans(b"\r" + _SPACES, b"\n" + b" " * len(_SPACES))
 
 
 def write_edge_list(adj, path):
@@ -102,25 +91,22 @@ def write_edge_list(adj, path):
 def read_edge_list(path):
     """Graph of an edge list: the header line, then one line per edge.
 
-    The header is checked, as text, before anything is allocated. The
-    body then takes one of two routes, chosen by the file's bytes alone:
-
-    - a file of ASCII bytes with no "\r", whose body is in exactly the
-      layout of write_edge_list (lines of two tokens of 1-18 digits, one
-      space between them, each ended by "\n"), is parsed from its bytes
-      by whole-array byte operations, a block of lines at a time
-      (_parse_edge_lines);
-    - any other body is read as text, where "\r\n" and a lone "\r" end
-      a line like "\n", by np.loadtxt (_load_edge_lines), which also
-      takes blank lines, tabs and other spaces, signs and tokens after
-      the pair, and names the first line it cannot read.
-
-    Both routes give the same pairs where both apply, and share the range
-    check, whose error names the line of the first bad pair.
+    The body's grammar: a line ends at "\n", "\r\n" or a lone "\r", and
+    any other character that str.isspace calls space separates tokens. A
+    blank line is skipped. On any other line the first two tokens are the
+    edge, each [+-]?[0-9]+ with at most 18 significant digits, and the
+    rest is ignored. The file's bytes are read once, and the header is
+    checked before anything sized by it is allocated. A FileFormatError
+    names the first line that is neither blank nor an edge line, or else
+    the line of the first edge outside 0 <= i < j < n.
     """
-    with _text_file(path) as fh:
-        line = fh.readline()
-        header = line.rstrip("\n")
+    with _text_file(path, mode="rb") as fh:
+        data = fh.read()
+        if not data.isascii():
+            data.decode()  # bytes that do not decode fail before any line
+        stop = data.find(b"\n") % (len(data) + 1)  # -1, no "\n", is the end
+        cr = data.find(b"\r", 0, stop)
+        header = data[:stop if cr < 0 else cr].decode()
         if not header.startswith(EDGE_HEADER):
             raise FileFormatError(f"{path}: missing graph header")
         try:
@@ -131,109 +117,134 @@ def read_edge_list(path):
             raise FileFormatError(
                 f"{path}: order {n} in header outside [1, {MAX_ORDER}]"
             )
-        start = fh.tell()
-        with open(path, "rb") as raw:
-            data = raw.read()
-        pairs = None
-        # ASCII bytes with no "\r" read as text unchanged, so the header
-        # line takes as many bytes as characters
-        if data.isascii() and b"\r" not in data:
-            pairs = _parse_edge_lines(data, len(line))
-        del data  # the loadtxt route reads the file again, as text
-        if pairs is None:
-            pairs = _load_edge_lines(fh, start, path)
+        # the body starts after the header's "\n", "\r\n" or lone "\r"
+        start = stop + 1 if cr in (-1, stop - 1) else cr + 1
+        values, lines = [np.empty(0, dtype=np.int64)], []
+        lineno = 2  # the header is line 1
+        while start < len(data):
+            # whole lines, at most 8 * _EDGE_BLOCK bytes unless one is longer
+            stop = (data.rfind(b"\n", start, start + 8 * _EDGE_BLOCK) + 1
+                    or data.find(b"\n", start) + 1 or len(data))
+            v, at, count = _edge_window(data, start, stop, lineno, path)
+            values.append(v)
+            lines.append(at)
+            lineno += count
+            start = stop
+    del data
+    pairs = np.concatenate(values).reshape(-1, 2)
+    del values
+    try:
+        return AdjacencyMatrix.from_edges(n, pairs)
+    except ConfigError:  # an edge out of range: name the first one's line
         i, j = pairs[:, 0], pairs[:, 1]
-        ok = (0 <= i) & (i < j) & (j < n)
-        if not ok.all():
-            k = int(np.argmin(ok))
-            lineno, _ = _body_line(fh, start, _DATA_LINE, k)
-            raise FileFormatError(
-                f"{path}:{lineno}: edge ({i[k]},{j[k]}) out of range for n={n}"
-            )
-    return AdjacencyMatrix.from_edges(n, pairs)
+        k = int(np.argmin((0 <= i) & (i < j) & (j < n)))
+        raise FileFormatError(
+            f"{path}:{np.concatenate(lines)[k]}: edge ({i[k]},{j[k]}) "
+            f"out of range for n={n}") from None
 
 
-def _parse_edge_lines(data, start):
-    """(m, 2) int64 pairs of the edge-list body that starts at byte
-    `start` of `data`, or None if the body is not in the writer's layout.
+def _edge_window(data, start, stop, lineno, path):
+    """The edge values of the window data[start:stop] of whole lines, the
+    first of which is line `lineno`; their line numbers; and the window's
+    count of lines.
 
-    The pairs array is made once, from the count of line breaks; each
-    window of at most 8 * _EDGE_BLOCK bytes, cut after a line break, is
-    checked and parsed with a few temporaries of its own size.
+    A window of digits, " " and "\n"s alone is parsed as it is, any other
+    after _prepass. Its tokens are the runs between separators. In the
+    layout of write_edge_list, "i j" on every line, they pair up in order;
+    otherwise the cumulative count of "\n"s gives each token's line.
     """
-    if len(data) > start and not data.endswith(b"\n"):
-        return None
-    pairs = np.empty((data.count(b"\n", start), 2), dtype=np.int64)
-    values = pairs.reshape(-1)
-    raw = np.frombuffer(data, dtype=np.uint8)
-    done = 0
-    while start < raw.size:
-        stop = data.rfind(b"\n", start, start + 8 * _EDGE_BLOCK) + 1
-        if stop == 0:  # a line longer than any in the layout
-            return None
-        block = raw[start:stop]
-        # every byte is a digit, or a space or line break ending a token;
-        # those two are the bytes below "0", and they must alternate
-        end = np.flatnonzero(block < ord("0"))
-        if (block.max() > ord("9") or end.size % 2
-                or not np.all(block[end].view(np.uint16) == _LINE_DELIMS)):
-            return None
-        width = np.diff(end, prepend=-1)
-        width -= 1
-        if not (width.min() >= 1 and width.max() <= _MAX_DIGITS):
-            return None
-        values[done:done + end.size] = _token_values(block, end, width)
-        done += end.size
-        start = stop
-    return pairs
+    block = raw = np.frombuffer(data, dtype=np.uint8, count=stop - start,
+                                offset=start)
+    sep = np.flatnonzero(block < ord("0"))
+    kind = block[sep]
+    newline = kind == ord("\n")
+    count = np.count_nonzero(newline)
+    plain = (block[-1] == ord("\n") and block.max() <= ord("9")
+             and np.count_nonzero(kind == ord(" ")) == kind.size - count)
+    if not plain:
+        block = np.frombuffer(_prepass(data[start:stop]), dtype=np.uint8)
+        sep = np.flatnonzero((block == ord(" ")) | (block == ord("\n")))
+        newline = block[sep] == ord("\n")
+        count = np.count_nonzero(newline)
+    width = np.diff(sep, prepend=-1)
+    width -= 1
+    if sep.size == 2 * count and newline[1::2].all() and width.min() > 0:
+        at = range(lineno, lineno + count)
+        alone = newline[0::2]  # a first token that ends its line
+    else:
+        line = np.cumsum(newline)
+        line -= newline
+        token = width > 0
+        sep, width, line = sep[token], width[token], line[token]
+        # first[t]: token t is the first of its line, and so is one past
+        # the last
+        first = np.ones(sep.size + 1, dtype=bool)
+        first[1:-1] = line[1:] != line[:-1]
+        firsts = np.flatnonzero(first[:-1])
+        at = line[firsts] + lineno
+        alone = first[firsts + 1]
+        seconds = np.minimum(firsts + 1, sep.size - 1)
+        pick = np.stack((firsts, seconds), axis=1).reshape(-1)
+        sep, width = sep[pick], width[pick]
+    values, ok = _token_values(block, sep, width, plain)
+    ok = ok[0::2] & ok[1::2] & ~alone
+    if not ok.all():
+        k = int(at[int(np.argmin(ok))])
+        text = bytes(raw).decode().replace("\r\n", "\n").replace("\r", "\n")
+        line = text.split("\n")[k - lineno]
+        raise FileFormatError(f"{path}:{k}: bad edge line {line!r}")
+    return values, at, count
 
 
-def _token_values(block, end, width):
-    """Values of the decimal tokens of `block` that end before the
-    positions `end` and have `width` digits, summed a place at a time."""
+def _prepass(window):
+    """The bytes of a window with every separator made a " " and every
+    line end a "\n" ("\r\n" becomes one), ending in "\n"."""
+    if not window.isascii():
+        text = window.decode()
+        window = text.translate({ord(c): " " for c in set(text) - {"\r", "\n"}
+                                 if c.isspace()}).encode()
+    window = window.replace(b"\r\n", b"\n").translate(_PREPASS)
+    return window if window.endswith(b"\n") else window + b"\n"
+
+
+def _token_values(block, end, width, plain):
+    """Values of the tokens of `block` that end before the positions `end`
+    and take `width` bytes, and which of them are [+-]?[0-9]+ with at most
+    _MAX_DIGITS significant digits. A plain block holds no byte but
+    digits, " " and "\n". Digits are summed a place at a time, never more
+    than _MAX_DIGITS places."""
+    ok = np.ones(end.size, dtype=bool)
+    if not plain:
+        lead = block[end - width]
+        negative = lead == ord("-")
+        width = width - (negative | (lead == ord("+")))
+        ok &= width > 0
+    places = int(width.max(initial=0))
+    if places > _MAX_DIGITS:  # zeros are all a token holds before its last 18
+        long = np.flatnonzero(width > _MAX_DIGITS)
+        cut = np.stack((end[long] - width[long], end[long] - _MAX_DIGITS),
+                       axis=1).reshape(-1)
+        ok[long] &= ~np.logical_or.reduceat(block != ord("0"), cut)[::2]
+        width = np.minimum(width, _MAX_DIGITS)
+        places = _MAX_DIGITS
     values = np.zeros(end.size, dtype=np.int64)
+    top = np.zeros(end.size, dtype=np.uint8)
     at = end - 1
-    for place in range(int(width.max())):
+    for place in range(places):
         # where a token is shorter, `at` has left it (or the block, which
         # "clip" allows) and the digit counts zero
         digit = block.take(at, mode="clip")
         digit -= ord("0")
         digit *= width > place
-        # int64 by dtype: numpy 1.x would keep uint8 for a small power
+        if not plain:  # any byte but a digit is above 9 once "0" is taken
+            np.maximum(top, digit, out=top)
+        # int64 by dtype, not by the promotion of uint8 digits
         values += np.multiply(digit, _POW10[place], dtype=np.int64)
         at -= 1
-    return values
-
-
-def _load_edge_lines(fh, start, path):
-    """(m, 2) int64 pairs of any body np.loadtxt reads, from the text file
-    fh whose body starts at `start`; FileFormatError names the first line
-    it cannot read."""
-    fh.seek(start)
-    # loadtxt warns when it finds no data; this stops at the first line
-    # that has some
-    if not any(not line.isspace() for line in fh):
-        return np.empty((0, 2), dtype=np.int64)
-    fh.seek(start)
-    try:
-        return np.loadtxt(fh, dtype=np.int64, usecols=(0, 1), ndmin=2,
-                          comments=None)
-    except ValueError as exc:
-        lineno, line = _body_line(fh, start, _BAD_EDGE_LINE)
-        if lineno is None:
-            raise FileFormatError(f"{path}: bad edge list ({exc})")
-        raise FileFormatError(f"{path}:{lineno}: bad edge line {line!r}")
-
-
-def _body_line(fh, start, pattern, k=0):
-    """(line number, text) of the k-th match of pattern in the body of the
-    edge list fh, which starts at `start`, or (None, None)."""
-    fh.seek(start)
-    text = fh.read()
-    match = next(islice(pattern.finditer(text), k, None), None)
-    if match is None:
-        return None, None
-    return text.count("\n", 0, match.start()) + 2, match[0]
+    if not plain:
+        ok &= top <= 9
+        np.negative(values, out=values, where=negative)
+    return values, ok
 
 
 # --------------------------------------------------------------- matrices

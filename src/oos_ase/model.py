@@ -90,14 +90,6 @@ class LatentMatrix:
             raise ConfigError("latent rows must be a 2-D array")
         object.__setattr__(self, "rows", rows)
 
-    @property
-    def n(self):
-        return self.rows.shape[0]
-
-    @property
-    def d(self):
-        return self.rows.shape[1]
-
 
 # Block sizes of the row-block loops below; neither changes a result.
 # A sampling block's probability product covers about this many entries
@@ -114,7 +106,8 @@ def _row_start(n, i):
     """Offset of row i's first pair in the packed order of an order-n
     graph: it follows the (n-1) + ... + (n-i) pairs of the rows above,
     i (2n - i - 1) / 2 in all. i is an int or an int64 array."""
-    start = i * (2 * n - 1 - i)
+    start = 2 * n - 1 - i
+    start *= i
     start //= 2
     return start
 
@@ -139,8 +132,8 @@ class AdjacencyMatrix:
 
     Only the strict upper triangle is kept (row-major pair order), so
     symmetry and the zero diagonal are structural facts rather than
-    invariants to re-check. Construction from bits or a dense array
-    validates entries, unless they are bool, which can only be 0 or 1.
+    invariants to re-check. Construction from bits validates entries,
+    unless they are bool, which can only be 0 or 1.
     """
 
     __slots__ = ("n", "_packed")
@@ -161,28 +154,19 @@ class AdjacencyMatrix:
         self.n = n
         self._packed = np.packbits(bits)
 
-    @classmethod
-    def from_dense(cls, m):
-        m = np.asarray(m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ConfigError("adjacency matrix must be square")
-        if not np.array_equal(m, m.T):
-            raise ConfigError("adjacency matrix must be symmetric")
-        if np.any(np.diagonal(m) != 0):
-            raise ConfigError("adjacency matrix must be hollow (zero diagonal)")
-        return cls(m.shape[0], m[_triu_mask(*m.shape)])
-
     def triu_bits(self):
         """Strict upper-triangle entries as a uint8 vector (row-major)."""
         return np.unpackbits(self._packed, count=_triu_size(self.n))
 
     def to_dense(self, dtype=np.float64):
-        return self._dense(lower_only=False).astype(dtype, copy=False)
+        """A as an n x n array: _lower_dense plus its transpose."""
+        lower = self._lower_dense()
+        return (lower + lower.T).astype(dtype, copy=False)
 
-    def _dense(self, lower_only):
-        """C-ordered float64 n x n array of A. With lower_only the upper
-        part is left zero: the strict lower triangle is the one triangle
-        the eigensolvers read (see `linalg.top_eigs`).
+    def _lower_dense(self):
+        """C-ordered float64 n x n array holding A's strict lower
+        triangle, zero elsewhere: the one triangle the eigensolvers read
+        (see `linalg.top_eigs`).
 
         Row i of the upper triangle is column i of the lower one. Each
         block of _FILL_BLOCK_ROWS rows is unpacked from its contiguous run
@@ -205,8 +189,6 @@ class AdjacencyMatrix:
             block = buf[:b, :width]
             block[after[:b, :width]] = run[start - 8 * first:stop - 8 * first]
             out[i:, i:i + b] = block.T
-            if not lower_only:
-                out[i:i + b, i:] += block
             start = stop
         return out
 
@@ -253,7 +235,8 @@ class AdjacencyMatrix:
         i = i.astype(np.int64, copy=False)
         offset = _row_start(n, i)
         offset += j
-        offset -= i + 1
+        offset -= i
+        offset -= 1
         bits = np.zeros(_triu_size(n), dtype=bool)
         bits[offset] = True
         return cls(n, bits)
@@ -262,9 +245,6 @@ class AdjacencyMatrix:
         if not isinstance(other, AdjacencyMatrix):
             return NotImplemented
         return self.n == other.n and np.array_equal(self._packed, other._packed)
-
-    def __hash__(self):
-        return hash((self.n, self._packed.tobytes()))
 
     def __repr__(self):
         return f"AdjacencyMatrix(n={self.n}, edges={int(self.triu_bits().sum())})"
@@ -283,10 +263,6 @@ class EdgeVector:
         if a.size and not np.isin(a, (0, 1)).all():
             raise ConfigError("edge vector entries must be 0 or 1")
         object.__setattr__(self, "a", a.astype(np.uint8))
-
-    @property
-    def n(self):
-        return self.a.shape[0]
 
 
 def sample_latents(dist, n, seed):

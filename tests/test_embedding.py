@@ -16,6 +16,8 @@ from oos_ase import (
 )
 from oos_ase.errors import DegenerateSpectrumError
 
+from dense import from_dense
+
 MIX = LatentDistribution(2, [((0.2, 0.7), 0.4), ((0.65, 0.3), 0.6)])
 
 
@@ -31,9 +33,7 @@ def test_noiseless_embedding_recovers_latents_up_to_rotation():
 def test_single_edge_graph_d1():
     # A = [[0,1],[1,0]] has eigenvalues (1, -1); the top one gives
     # positions (1/sqrt(2), 1/sqrt(2)) after the sign convention
-    from oos_ase import AdjacencyMatrix
-
-    a = AdjacencyMatrix.from_dense(np.array([[0, 1], [1, 0]]))
+    a = from_dense(np.array([[0, 1], [1, 0]]))
     emb = ase(a, 1)
     assert np.allclose(emb.eig.values, [1.0])
     assert np.allclose(emb.positions, np.full((2, 1), np.sqrt(0.5)), atol=1e-12)

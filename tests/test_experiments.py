@@ -212,7 +212,7 @@ def test_rate_sweep_failures_fail_only_the_records_they_touch(monkeypatch):
 
     # a failed simulation fails both records with the same message
     def failing_sample(lat, rng):
-        raise DegenerateSpectrumError(f"synthetic failure at n={lat.n}")
+        raise DegenerateSpectrumError(f"synthetic failure at n={len(lat.rows)}")
 
     monkeypatch.setattr(experiments, "sample_adjacency", failing_sample)
     result = run_study(cfg)

@@ -20,6 +20,8 @@ from oos_ase.embedding import Embedding
 from oos_ase.errors import ConfigError, FileFormatError
 from oos_ase.model import AdjacencyMatrix, EdgeVector, LatentDistribution
 
+from dense import from_dense
+
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -133,7 +135,7 @@ def _reference_read_edge_list(text, n):
         if not 0 <= i < j < n:
             return None
         bits[i, j] = 1
-    return AdjacencyMatrix.from_dense(bits + bits.T)
+    return from_dense(bits + bits.T)
 
 
 # bodies made mostly of what edge lines hold, with some of what they must not
@@ -147,6 +149,11 @@ _BODY = st.text(alphabet=st.sampled_from(
 @example(n=5, body="0 1\n\n 3 4 x y\r\n0 1\n")
 @example(n=5, body="0 12345678901234567890\n")
 @example(n=5, body="0 1\n+1 +2\n-0 3\n0001 0002\n")
+@example(n=5, body="0\u30001\n1\x852\n2\x1c3\n3\x0b4\n")
+@example(n=5, body="0 1 \x00\n")
+@example(n=5, body="0 1\x00\n")
+@example(n=5, body="+ 1\n")
+@example(n=5, body="-0 1\n" + "0" * 29 + "2 3\n1 4")
 def test_read_edge_list_body_matches_reference(workdir, n, body):
     path = workdir / "g.txt"
     path.write_bytes(f"{io.EDGE_HEADER}{n}\n{body}".encode())
@@ -170,32 +177,55 @@ def _pad_first_token(line, digits):
     return token.rjust(digits, b"0") + line[len(token):]
 
 
-# Edits of one line of a body in the writer's layout. All but "18 digits"
-# leave that layout, and then the body goes to np.loadtxt; so do the line
-# ends "lone cr" and "no final newline".
+# Edits of one line of a body in the writer's layout; "lone cr" and "no
+# final newline" edit the line ends.
 _EDITS = {
     "cr": lambda line: line + b"\r",  # the line ends "\r\n"
     "tab": lambda line: line.replace(b" ", b"\t"),
     "plus": lambda line: b"+" + line,
+    "minus": lambda line: b"-" + line,
     "leading space": lambda line: b" " + line,
     "third token": lambda line: line + b" 7",
     "blank line": lambda line: b"\n" + line,
     "nbsp": lambda line: line.replace(b" ", "\xa0".encode()),
+    "ideographic space": lambda line: line.replace(b" ", "\u3000".encode()),
+    "nel": lambda line: line.replace(b" ", "\x85".encode()),
+    "vt": lambda line: line.replace(b" ", b"\x0b"),
+    "nul after": lambda line: line + b" \x00",
+    "nul in pair": lambda line: line + b"\x00",
     "letter": lambda line: line + b"x",
     "18 digits": lambda line: _pad_first_token(line, 18),
     "19 digits padded": lambda line: _pad_first_token(line, 19),
+    "30 digits padded": lambda line: _pad_first_token(line, 30),
     "19 digits": lambda line: line.split(b" ")[0] + b" " + b"9" * 19,
     "out of range": lambda line: b" ".join(line.split(b" ")[::-1]),
 }
-_SAME_GRAPH = {"cr", "lone cr", "18 digits", "19 digits padded",
-               "no final newline"}
+_SAME_GRAPH = {"cr", "lone cr", "tab", "plus", "leading space",
+               "third token", "blank line", "nbsp", "ideographic space",
+               "nel", "vt", "nul after", "18 digits", "19 digits padded",
+               "30 digits padded", "no final newline"}
 
 
-def _read_or_message(path):
-    try:
-        return io.read_edge_list(str(path))
-    except FileFormatError as exc:
-        return str(exc)
+def _reference_error(text, n):
+    """(line, phrase) of the error the reader must raise on the body text,
+    the header being line 1, or None. The first line that is neither blank
+    nor two integers of at most 18 significant digits wins over the first
+    edge out of range."""
+    out_of_range = None
+    for lineno, line in enumerate(text.split("\n"), start=2):
+        parts = line.split()[:2]
+        if not parts:
+            continue
+        if len(parts) < 2 or max(len(p.lstrip("+-").lstrip("0"))
+                                 for p in parts) > 18:
+            return lineno, "bad edge line"
+        try:
+            i, j = int(parts[0]), int(parts[1])
+        except ValueError:
+            return lineno, "bad edge line"
+        if out_of_range is None and not 0 <= i < j < n:
+            out_of_range = lineno, "edge"
+    return out_of_range
 
 
 @FUZZ
@@ -205,19 +235,18 @@ def _read_or_message(path):
        edits=st.lists(st.tuples(
            st.sampled_from(["lone cr", "no final newline", *_EDITS]),
            st.integers(0, 10**6)), max_size=2))
-def test_edge_list_reader_routes_agree(workdir, n, density, seed, edits):
-    """The block parser gives what np.loadtxt gives: the same graph, or
-    the same error, with the block parser made to decline every body.
-    Each body is a writer's file with no, one or two edits."""
+def test_edge_list_reader_matches_reference_on_edited_writer_files(
+        workdir, n, density, seed, edits):
+    """A writer's file with no, one or two edits reads as the reference
+    parser reads it: the same graph, or an error that names the line the
+    reference finds first."""
     rng = np.random.default_rng(seed)
     adj = AdjacencyMatrix(n, rng.random(n * (n - 1) // 2) < density)
     path = workdir / "g.txt"
     io.write_edge_list(adj, path)
     header, body = path.read_bytes().split(b"\n", 1)
     same_graph = all(edit in _SAME_GRAPH for edit, _ in edits)
-    if not edits:
-        assert io._parse_edge_lines(body, 0) is not None
-    else:
+    if edits:
         lines = body.split(b"\n")[:-1]
         if not lines:  # an edge to edit, which n = 1 cannot hold
             lines, same_graph = [b"0 1"], False
@@ -230,11 +259,25 @@ def test_edge_list_reader_routes_agree(workdir, n, density, seed, edits):
                 ends[k] = b"\r"
             else:
                 ends[-1] = b""
+        if len({at % len(lines) for _, at in edits}) < len(edits):
+            same_graph = False  # two edits of a line can make a bad one
         body = b"".join(line + end for line, end in zip(lines, ends))
         path.write_bytes(header + b"\n" + body)
+    text = body.decode().replace("\r\n", "\n").replace("\r", "\n")
     got = _read_or_message(path)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(io, "_parse_edge_lines", lambda data, start: None)
-        assert _read_or_message(path) == got
+    error = _reference_error(text, n)
+    if error is None:
+        assert got == _reference_read_edge_list(text, n)
+    else:
+        lineno, phrase = error
+        assert isinstance(got, str)
+        assert got.startswith(f"{path}:{lineno}: {phrase}")
     if same_graph:
         assert got == adj
+
+
+def _read_or_message(path):
+    try:
+        return io.read_edge_list(str(path))
+    except FileFormatError as exc:
+        return str(exc)
