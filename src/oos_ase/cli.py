@@ -3,7 +3,7 @@
 Subcommands: sample, embed, oos, experiment. Exit codes: 0 success,
 2 configuration error, 3 numerical degeneracy, 4 solver failure, 5 I/O.
 The CLI itself is single-threaded; `experiment --workers` fans trials out
-(default from the OOS_ASE_WORKERS environment variable).
+(default 1).
 """
 
 import argparse
@@ -23,13 +23,6 @@ from .experiments import ExperimentConfig, run_study
 from .model import as_generator, sample_adjacency, sample_latents, sample_oos_edges
 from .oos import lls_oos, ml_oos
 from .theory import ClassifySpec
-
-
-def _default_workers():
-    try:
-        return max(1, int(os.environ.get("OOS_ASE_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def _require_inputs(*paths):
@@ -154,8 +147,8 @@ def build_parser():
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--workers", type=int, default=_default_workers(),
-                   help="parallel trial workers (default $OOS_ASE_WORKERS or 1)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="parallel trial workers (default 1)")
     p.add_argument("--wbar-atom", type=int, default=None,
                    help="fix the OOS vertex to this atom (default: draw from F; "
                    "rate sweeps default to atom 0)")

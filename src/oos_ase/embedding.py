@@ -26,7 +26,6 @@ class Embedding:
 
     positions: np.ndarray  # (n, d)
     eig: EigenPairs
-    source_order: int
 
     def __post_init__(self):
         positions = np.asarray(self.positions, dtype=float)
@@ -41,8 +40,6 @@ class Embedding:
             np.abs(positions - expected)
         ) <= 1e-12:
             raise ConfigError("positions do not equal U * sqrt(S) within 1e-12")
-        if self.source_order != positions.shape[0]:
-            raise ConfigError("source_order does not match position count")
 
     @property
     def n(self):
@@ -73,7 +70,7 @@ def embed_matrix(m, d):
             f"{eig.values.min():.3e}"
         )
     positions = eig.vectors * np.sqrt(eig.values)
-    return Embedding(positions=positions, eig=eig, source_order=n)
+    return Embedding(positions=positions, eig=eig)
 
 
 def ase(a, d):

@@ -192,7 +192,8 @@ def _edge_window(data, start, stop, lineno, path):
         k = int(at[int(np.argmin(ok))])
         text = bytes(raw).decode().replace("\r\n", "\n").replace("\r", "\n")
         line = text.split("\n")[k - lineno]
-        raise FileFormatError(f"{path}:{k}: bad edge line {line!r}")
+        cut = f"... ({len(line)} characters)" if len(line) > 80 else ""
+        raise FileFormatError(f"{path}:{k}: bad edge line {line[:80]!r}{cut}")
     return values, at, count
 
 
@@ -326,8 +327,7 @@ def read_embedding(csv_path, sidecar_path):
         )
     try:
         eig = EigenPairs(values=values, vectors=positions / np.sqrt(values))
-        return Embedding(positions=positions, eig=eig,
-                         source_order=positions.shape[0])
+        return Embedding(positions=positions, eig=eig)
     except ConfigError as exc:
         raise FileFormatError(
             f"{csv_path}, {sidecar_path}: not an embedding ({exc})"

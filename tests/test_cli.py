@@ -199,13 +199,17 @@ def test_edge_list_line_ends(tmp_path, head_end, end):
 @pytest.mark.parametrize("line", [b"1" * 2**20, b"0 " + b"7" * 2**20],
                          ids=["one token", "long second token"])
 def test_edge_list_megabyte_token_fails_fast(tmp_path, line):
-    # a token's digits are summed over at most 18 places, however long
+    # a token's digits are summed over at most 18 places, however long,
+    # and the error quotes the line's first 80 characters only
     path = tmp_path / "g.txt"
     path.write_bytes(b"oos-ase graph n=3\n0 1\n" + line + b"\n")
     t0 = time.perf_counter()
-    with pytest.raises(FileFormatError, match=r":3: bad edge line '[01]"):
+    with pytest.raises(FileFormatError, match=r":3: bad edge line '[01]") as exc:
         io.read_edge_list(path)
     assert time.perf_counter() - t0 < 2.0
+    message = str(exc.value).removeprefix(str(path))
+    assert len(message) < 200
+    assert message.endswith(f"... ({len(line)} characters)")
 
 
 def test_edge_list_reader_accepts_loose_layout(tmp_path):

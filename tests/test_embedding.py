@@ -48,7 +48,7 @@ def test_positions_are_scaled_eigenvectors():
     assert np.allclose(
         emb.positions, emb.eig.vectors * np.sqrt(emb.eig.values), atol=1e-12
     )
-    assert emb.n == 80 and emb.d == 2 and emb.source_order == 80
+    assert emb.n == 80 and emb.d == 2
 
 
 def test_embedding_gram_is_best_rank_d_truncation():
@@ -85,10 +85,10 @@ def test_embedding_invariants_reject_nan():
     positions = eig.vectors * np.sqrt(eig.values)
     positions[1, 1] = np.nan
     with pytest.raises(ConfigError, match="U \\* sqrt\\(S\\)"):
-        Embedding(positions=positions, eig=eig, source_order=3)
+        Embedding(positions=positions, eig=eig)
     nan_eig = EigenPairs(values=np.array([np.nan]), vectors=np.eye(3)[:, :1])
     with pytest.raises(DegenerateSpectrumError, match="strictly positive"):
-        Embedding(positions=np.zeros((3, 1)), eig=nan_eig, source_order=3)
+        Embedding(positions=np.zeros((3, 1)), eig=nan_eig)
 
 
 def test_dimension_out_of_range():

@@ -2,6 +2,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,11 +37,53 @@ def _embedding_from_positions(positions):
     values = norms**2
     order = np.argsort(values)[::-1]
     eig = EigenPairs(values=values[order], vectors=vectors[:, order])
-    return Embedding(
-        positions=eig.vectors * np.sqrt(eig.values),
-        eig=eig,
-        source_order=positions.shape[0],
+    return Embedding(positions=eig.vectors * np.sqrt(eig.values), eig=eig)
+
+
+def _ill_conditioned_embedding(n, unit_axes, seed):
+    """Orthogonal columns: a constant one of norm sqrt(n)/2 (every row
+    0.5), `unit_axes` random ones of norm 1, and a last random one of norm
+    1e-7. The Hessian's condition estimate then exceeds COND_LIMIT."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(
+        np.column_stack([np.ones(n), rng.standard_normal((n, unit_axes + 1))])
     )
+    q[:, 0] = np.abs(q[:, 0])
+    scale = [np.sqrt(n) / 2] + [1.0] * unit_axes + [1e-7]
+    return _embedding_from_positions(q * scale), rng
+
+
+def _assert_kkt(emb, a, est, eps):
+    """est lies in T_eps within 1e-9, and its gradient is a nonnegative
+    combination of the outward normals of its active rows, to the
+    solver's tolerance."""
+    x = emb.positions
+    p = x @ est.w
+    assert p.min() >= eps - 1e-9 and p.max() <= 1 - eps + 1e-9
+    act_lo = p - eps <= 1e-9
+    act_hi = 1 - eps - p <= 1e-9
+    assert int(act_lo.sum() + act_hi.sum()) == est.active_constraints
+    _, grad, _ = likelihood(emb, a, est.w)
+    residual = float(np.linalg.norm(grad))
+    if est.active_constraints:
+        normals = np.concatenate([x[act_lo], -x[act_hi]]).T
+        residual = scipy.optimize.nnls(normals, -grad)[1]
+    assert residual <= oos.TOL_PER_VERTEX * emb.n
+
+
+def _assert_beats_probes(emb, a, est, eps, radius, rng, hits=200):
+    """est.objective is at least the log-likelihood of `hits` random
+    feasible points around est.w. A probe moves each w_j by at most
+    radius_j * sqrt(n) / |x_:j|, which moves p by about radius_j."""
+    x = emb.positions
+    av = np.asarray(a, dtype=float)
+    scale = np.sqrt(emb.n) / np.linalg.norm(x, axis=0)
+    while hits:
+        pt = x @ (est.w + rng.uniform(-1, 1, emb.d) * radius * scale)
+        if pt.min() >= eps and pt.max() <= 1 - eps:
+            val = float(av @ np.log(pt) + (1 - av) @ np.log1p(-pt))
+            assert est.objective >= val - 1e-12
+            hits -= 1
 
 
 def _mix_embedding(n, seed):
@@ -314,3 +357,78 @@ def test_ml_feasibility_and_dominates_random_probes():
                 val = float(av @ np.log(pt) + (1 - av) @ np.log1p(-pt))
                 assert est.objective >= val - 1e-12
                 hits += 1
+
+
+def test_ml_tangent_cone_step_leaves_a_face_with_no_free_direction():
+    # T_0.1 is 0.2 <= w <= 0.9 here. The LS start sits 5e-10 below 0.9,
+    # within the active tolerance, and the gradient there points back into
+    # the box. A face of a 1-D box has no free direction, so only the
+    # tangent-cone step can leave it.
+    emb = _embedding_from_positions(np.array([[1.0], [0.5]]))
+    a = np.array([0.8, 0.65]) - 5e-10 * np.array([1.0, 0.5])
+    start = lls_oos(emb, a).w
+    assert 0.0 < 0.9 - start[0] <= 1e-9
+    assert likelihood(emb, a, start)[1][0] < 0.0
+    est = ml_oos(emb, a, eps=0.1)
+    _assert_kkt(emb, a, est, 0.1)
+    grid = np.linspace(0.2, 0.9, 70_001)
+    p = emb.positions @ grid[None, :]
+    vals = a @ np.log(p) + (1 - a) @ np.log1p(-p)
+    assert est.objective >= vals.max() - 1e-12
+
+
+def test_ml_gradient_steps_in_the_interior_when_ill_conditioned():
+    emb, rng = _ill_conditioned_embedding(200, 0, seed=5)
+    a = rng.integers(0, 2, size=200).astype(float)
+    est = ml_oos(emb, a)
+    eigs = np.linalg.eigvalsh(likelihood(emb, a, est.w)[2])
+    assert eigs[0] / eigs[-1] > oos.COND_LIMIT
+    assert est.active_constraints == 0
+    _assert_kkt(emb, a, est, 0.05)
+    _assert_beats_probes(emb, a, est, 0.05, 0.05, np.random.default_rng(6))
+
+
+def _face_gradient_problem():
+    # a = 1 exactly where the unit column is positive pulls p past the box,
+    # and the maximizer lies on a face that holds the 1e-7 direction
+    emb, _ = _ill_conditioned_embedding(200, 1, seed=0)
+    return emb, (emb.positions[:, 1] > 0).astype(float)
+
+
+def test_ml_projected_gradient_steps_on_an_ill_conditioned_face():
+    emb, a = _face_gradient_problem()
+    est = ml_oos(emb, a)
+    assert est.active_constraints >= 1
+    _assert_kkt(emb, a, est, 0.05)
+    # the probes hold the 1e-7 coordinate; along it the ascent stops short
+    # (test_ml_gradient_steps_reach_the_maximum_along_a_weak_axis)
+    radius = np.array([0.05, 0.05, 0.0])
+    _assert_beats_probes(emb, a, est, 0.05, radius, np.random.default_rng(7))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "gradient steps stop on the absolute tolerance while the 1e-7 "
+    "coordinate is still far from its optimum"))
+def test_ml_gradient_steps_reach_the_maximum_along_a_weak_axis():
+    emb, a = _face_gradient_problem()
+    est = ml_oos(emb, a)
+    _assert_beats_probes(emb, a, est, 0.05, 0.01, np.random.default_rng(8))
+
+
+def test_ml_2d_placement_ending_on_one_face():
+    # w-bar far from both atoms puts the maximizer outside the box
+    x, emb = _mix_embedding(100, seed=82)
+    a = sample_oos_edges(x, (0.95, 0.05), seed=132)
+    est = ml_oos(emb, a)
+    assert est.active_constraints == 1
+    _assert_kkt(emb, a, est, 0.05)
+
+    # dense grid over a feasible slab around the reported maximizer
+    step = 1e-3
+    g = np.arange(-0.05, 0.05 + step / 2, step)
+    ww = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2) + est.w
+    p = emb.positions @ ww.T
+    feas = (p.min(axis=0) >= 0.05) & (p.max(axis=0) <= 0.95)
+    av = a.a.astype(float)
+    vals = av @ np.log(p[:, feas]) + (1 - av) @ np.log1p(-p[:, feas])
+    assert est.objective >= vals.max() - 1e-9
