@@ -1,9 +1,8 @@
 """Adjacency spectral embedding.
 
 The embedding of a graph is X-hat = U_A S_A^{1/2} built from the top-d
-algebraically largest eigenpairs of the adjacency matrix. The retained
-eigenpairs are kept on the result because the out-of-sample solvers need
-S_A and U_A directly, not just the positions.
+algebraically largest eigenpairs of the adjacency matrix, which are kept on
+the result: the LS estimate reads U_A and S_A, the ML ascent X-hat.
 """
 
 from dataclasses import dataclass
@@ -24,6 +23,9 @@ class Embedding:
     eigenvalue is strictly positive.
     """
 
+    # Both stay, as neither rounds back from the other: (V s) / s != V in
+    # about 10 % of entries at n = 2000 (the LS bits of studies would move),
+    # and (P / s) s != P in 200 of 200 random embeddings (ML from files).
     positions: np.ndarray  # (n, d)
     eig: EigenPairs
 

@@ -26,7 +26,7 @@ from .model import (
     sample_latents,
     sample_oos_edges,
 )
-from .oos import lls_oos, ml_oos
+from .oos import check_eps, lls_oos, ml_oos
 from .theory import ClassifySpec, chi2_quantile, error_ratio_curve, sigma_clt
 
 STUDIES = ("clt_ls", "clt_ml", "rate_sweep", "error_ratio")
@@ -57,6 +57,7 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        check_eps(self.epsilon)  # the CLI passes --eps to every study
         if self.study == "error_ratio":
             if self.spec is None:
                 raise ConfigError("error_ratio study needs a ClassifySpec")
@@ -74,19 +75,7 @@ class ExperimentConfig:
                 raise ConfigError("rate sweep needs at least 4 grid points")
             if self.wbar is not None:
                 self.wbar = np.asarray(self.wbar, dtype=float).ravel()
-                if self.wbar.shape[0] != self.dist.dimension:
-                    raise ConfigError(
-                        f"w-bar dimension {self.wbar.shape[0]} does not match "
-                        f"distribution dimension {self.dist.dimension}"
-                    )
-                # every trial draws its edges with these probabilities;
-                # written so that NaN fails
-                probs = self.dist.points @ self.wbar
-                if not (probs.min() >= 0.0 and probs.max() <= 1.0):
-                    raise ConfigError(
-                        f"w-bar edge probabilities {probs.tolist()} with the "
-                        "atoms are not all in [0, 1]"
-                    )
+                self.dist.edge_probabilities(self.wbar)  # fail before trials
 
 
 @dataclass
@@ -129,7 +118,6 @@ def _simulate_vertex(cfg, n, rng, wbar):
     the in-sample ones (the n+1 draws of the mixture-of-normals picture).
     """
     if wbar is not None:
-        wbar = np.asarray(wbar, dtype=float)
         lat = sample_latents(cfg.dist, n, rng)
     else:
         lat_all = sample_latents(cfg.dist, n + 1, rng)

@@ -50,20 +50,29 @@ class LatentDistribution:
             )
         if not np.isfinite(points).all():
             raise ConfigError("atom coordinates must be finite")
-        if np.any(weights <= 0):
+        # both weight tests are written so that NaN fails them
+        if not np.all(weights > 0):
             raise ConfigError("weights must be positive")
-        if abs(weights.sum() - 1.0) > 1e-12:
+        if not abs(weights.sum() - 1.0) <= 1e-12:
             raise ConfigError("weights must sum to 1")
-        gram = points @ points.T
-        for i in range(len(atoms)):
-            for j in range(i, len(atoms)):
-                if gram[i, j] < 0.0 or gram[i, j] > 1.0:
-                    raise ConfigError(
-                        f"atom inner product <x{i}, x{j}> = {gram[i, j]} outside [0, 1]"
-                    )
+        pairs = np.triu_indices(len(weights))
+        _check_probabilities((points @ points.T)[pairs], "atom pair",
+                             lambda k: (pairs[0][k], pairs[1][k]))
         self.dimension = dimension
         self.points = points
         self.weights = weights
+
+    def edge_probabilities(self, wbar):
+        """Edge probabilities x^T w-bar with each atom x, all in [0, 1]."""
+        wbar = np.asarray(wbar, dtype=float).ravel()
+        if wbar.shape[0] != self.dimension:
+            raise ConfigError(
+                f"w-bar dimension {wbar.shape[0]} does not match "
+                f"distribution dimension {self.dimension}"
+            )
+        p = self.points @ wbar
+        _check_probabilities(p, "w-bar edge")
+        return p
 
     @property
     def n_atoms(self):
@@ -158,10 +167,10 @@ class AdjacencyMatrix:
         """Strict upper-triangle entries as a uint8 vector (row-major)."""
         return np.unpackbits(self._packed, count=_triu_size(self.n))
 
-    def to_dense(self, dtype=np.float64):
-        """A as an n x n array: _lower_dense plus its transpose."""
+    def to_dense(self):
+        """A as an n x n float64 array: _lower_dense plus its transpose."""
         lower = self._lower_dense()
-        return (lower + lower.T).astype(dtype, copy=False)
+        return lower + lower.T
 
     def _lower_dense(self):
         """C-ordered float64 n x n array holding A's strict lower

@@ -62,6 +62,12 @@ COND_LIMIT = 1e12
 BOUNDARY_FRACTION = 0.95
 
 
+def check_eps(eps):
+    """Raise unless the ML box margin eps lies in (0, 1/2)."""
+    if not 0.0 < eps < 0.5:
+        raise ConfigError("eps must lie in (0, 1/2)")
+
+
 def _edge_values(a, n):
     """Edge vector (or raw array of values in [0,1]) as a float vector."""
     if isinstance(a, EdgeVector):
@@ -94,7 +100,7 @@ def _loglik(x, avec, w):
     """(value, gradient, Hessian, p = x w) of the log-likelihood at w; outside
     its domain 0 < p < 1 the value is -inf and the derivatives are None."""
     p = x @ w
-    if p.min() <= 0.0 or p.max() >= 1.0:
+    if not (p.min() > 0.0 and p.max() < 1.0):  # NaN fails it too
         return -np.inf, None, None, p
     value = float(avec @ np.log(p) + (1.0 - avec) @ np.log1p(-p))
     grad = x.T @ ((avec - p) / (p * (1.0 - p)))
@@ -120,7 +126,7 @@ def likelihood(emb, a, w):
         raise ConfigError("w dimension does not match embedding")
     value, grad, hess, p = _loglik(emb.positions, avec, w)
     if grad is None:
-        i = int(np.argmax((p <= 0.0) | (p >= 1.0)))
+        i = int(np.argmax(~((p > 0.0) & (p < 1.0))))
         raise ConfigError(
             f"w outside the likelihood domain: X-hat_{i}^T w = {p[i]}"
         )
@@ -183,8 +189,7 @@ def ml_oos(emb, a, eps=0.05):
     it: with 1-D atoms 0.15/0.5/0.85 at w-bar = 0.5 and n = 500, 526 of
     600 estimates ended on the box at eps = 0.05, and none at eps = 0.02.
     """
-    if not 0.0 < eps < 0.5:
-        raise ConfigError("eps must lie in (0, 1/2)")
+    check_eps(eps)
     x = emb.positions
     n = x.shape[0]
     avec = _edge_values(a, n)

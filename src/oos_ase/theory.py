@@ -48,18 +48,13 @@ def sigma_clt(dist, wbar):
     Delta^{-1} E[X^T w (1 - X^T w) X X^T] Delta^{-1}; requires Delta
     invertible (smallest eigenvalue > 1e-12).
     """
-    wbar = np.asarray(wbar, dtype=float).ravel()
-    if wbar.shape[0] != dist.dimension:
-        raise ConfigError("w-bar dimension does not match the distribution")
+    p = dist.edge_probabilities(wbar)
     d = delta(dist)
     eigs = np.linalg.eigvalsh(d)
     if eigs[0] <= 1e-12:
         raise DegeneracyError(
             f"second moment matrix is singular (min eigenvalue {eigs[0]:.3e})"
         )
-    p = dist.points @ wbar
-    if p.min() < 0.0 or p.max() > 1.0:
-        raise ConfigError("X^T w-bar outside [0, 1] for some atom")
     mid = (dist.points.T * (dist.weights * p * (1.0 - p))) @ dist.points
     dinv = np.linalg.inv(d)
     out = dinv @ mid @ dinv
@@ -142,8 +137,8 @@ def classify_threshold(spec, scale):
     Raises ThresholdError when no descending crossing exists (the
     quadratic has no real root; happens for extreme lam).
     """
-    if scale <= 0:
-        raise ConfigError("scale must be positive")
+    if not 0.0 < scale < np.inf:
+        raise ConfigError("scale must be positive and finite")
     k, a, b, c_eff = _log_density_diff_coeffs(spec, scale)
 
     if a == 0.0:

@@ -519,6 +519,37 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert rc == 2
     assert "--n must be >= 1" in capsys.readouterr().err
 
+    # a NaN weight is no weight, in sampling and in studies alike
+    nan_spec = tmp_path / "nan.json"
+    nan_spec.write_text(json.dumps({
+        "dimension": 2,
+        "atoms": [
+            {"point": [0.2, 0.7], "weight": float("nan")},
+            {"point": [0.65, 0.3], "weight": 0.6},
+        ],
+    }))
+    for cmd in (["sample", "--n", "10"],
+                ["experiment", "--study", "clt-ls", "--n", "50",
+                 "--trials", "2"]):
+        rc = main(cmd + ["--spec", str(nan_spec), "--out", str(tmp_path / "y")])
+        assert rc == 2
+        assert "weights must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "y").exists()
+
+    # every study takes --eps, so every study refuses a bad one before
+    # any trial runs
+    ratio_spec = os.path.join(PRESET_DIR, "classify_1d.json")
+    for study, n, path in (("clt-ml", "50", spec), ("clt-ls", "50", spec),
+                           ("rate", "20,30,40,50", spec),
+                           ("ratio", "100", ratio_spec)):
+        for eps in ("0.7", "nan"):
+            rc = main(["experiment", "--study", study, "--spec", path,
+                       "--n", n, "--trials", "2", "--eps", eps,
+                       "--out", str(tmp_path / "z")])
+            assert rc == 2
+            assert "eps must lie in (0, 1/2)" in capsys.readouterr().err
+            assert not (tmp_path / "z").exists()
+
 
 def test_cli_missing_input_exit_5(tmp_path, capsys):
     rc = main(["sample", "--spec", str(tmp_path / "absent.json"),

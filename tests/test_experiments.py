@@ -120,7 +120,7 @@ def test_config_rejects_a_wbar_no_trial_can_use():
             ExperimentConfig(study=study, dist=dist, n_grid=grid, wbar=[0.5, 0.5])
         # 0.8 * 2.0 = 1.6 is no edge probability, nor is NaN
         for bad in ([2.0], [-0.5], [float("nan")]):
-            with pytest.raises(ConfigError, match=r"not all in \[0, 1\]"):
+            with pytest.raises(ConfigError, match=r"outside \[0, 1\]"):
                 ExperimentConfig(study=study, dist=dist, n_grid=grid, wbar=bad)
     # the boundary is allowed: 0.8 * 1.25 = 1.0
     ExperimentConfig(study="clt_ls", dist=dist, n_grid=(50,), wbar=[1.25])

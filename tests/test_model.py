@@ -28,12 +28,17 @@ def test_distribution_rejects_bad_weights():
         LatentDistribution(1, [((0.5,), 0.5), ((0.4,), 0.4)])
     with pytest.raises(ConfigError, match="positive"):
         LatentDistribution(1, [((0.5,), 0.0), ((0.4,), 1.0)])
+    # a NaN weight is not positive, and an inf one makes no sum of 1
+    with pytest.raises(ConfigError, match="positive"):
+        LatentDistribution(1, [((0.5,), float("nan")), ((0.4,), 1.0)])
+    with pytest.raises(ConfigError, match="sum to 1"):
+        LatentDistribution(1, [((0.5,), float("inf")), ((0.4,), 1.0)])
 
 
 def test_distribution_rejects_infeasible_gram_and_names_pair():
-    with pytest.raises(ConfigError, match="x0, x0"):
+    with pytest.raises(ModelViolationError, match=r"at index \(0, 0\)"):
         LatentDistribution(2, [((1.2, 0.0), 1.0)])
-    with pytest.raises(ConfigError, match="x0, x1"):
+    with pytest.raises(ModelViolationError, match=r"at index \(0, 1\)"):
         LatentDistribution(
             2, [((-0.6, 0.2), 0.5), ((0.6, 0.2), 0.5)]
         )  # inner product -0.32

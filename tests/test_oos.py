@@ -198,6 +198,8 @@ def test_likelihood_domain_error():
         likelihood(emb, np.array([1.0]), np.array([1.0]))
     with pytest.raises(ConfigError, match="domain"):
         likelihood(emb, np.array([1.0]), np.array([0.0]))
+    with pytest.raises(ConfigError, match="domain"):
+        likelihood(emb, np.array([1.0]), np.array([np.nan]))
 
 
 def test_likelihood_gradient_matches_finite_differences():

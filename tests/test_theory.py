@@ -125,6 +125,16 @@ def test_sigma_clt_rejects_singular_delta():
         sigma_clt(dist, [0.5, 0.0])
 
 
+def test_sigma_clt_rejects_a_wbar_off_the_model():
+    mix = LatentDistribution(2, [((0.2, 0.7), 0.4), ((0.65, 0.3), 0.6)])
+    with pytest.raises(ConfigError, match="dimension 1 does not match"):
+        sigma_clt(mix, [0.5])
+    # atom 0 gives 0.7 * 1.5 > 1, and NaN is no probability
+    for wbar in ([0.0, 1.5], [np.nan, 0.5]):
+        with pytest.raises(ConfigError, match=r"at index \(0,\)"):
+            sigma_clt(mix, wbar)
+
+
 def test_sigma_clt_symmetric_psd():
     mix = LatentDistribution(2, [((0.2, 0.7), 0.4), ((0.65, 0.3), 0.6)])
     for wbar in mix.points:
@@ -239,6 +249,14 @@ def test_error_overlapping_classes_limit():
 
     with pytest.raises(ThresholdError):
         classify_error(ClassifySpec(lam=0.4, p=0.6, q=0.600001), 100)
+
+
+def test_threshold_and_error_reject_a_scale_not_positive_and_finite():
+    for scale in (0, -1.0, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            classify_threshold(SPEC, scale)
+        with pytest.raises(ConfigError, match="positive and finite"):
+            classify_error(SPEC, scale)
 
 
 def test_error_monotone_decreasing_in_scale():
