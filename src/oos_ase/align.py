@@ -17,7 +17,6 @@ from .errors import ConfigError
 @dataclass(frozen=True, eq=False)
 class ProcrustesResult:
     rotation: np.ndarray  # (d, d), orthogonal
-    residual: float  # ||source @ rotation - target||_F
 
     def __post_init__(self):
         r = np.asarray(self.rotation, dtype=float)
@@ -43,9 +42,7 @@ def procrustes(source, target):
     if not np.isfinite(cross).all():
         raise ConfigError("procrustes inputs contain non-finite entries")
     u, _, vt = np.linalg.svd(cross)
-    rotation = u @ vt
-    residual = float(np.linalg.norm(source @ rotation - target))
-    return ProcrustesResult(rotation=rotation, residual=residual)
+    return ProcrustesResult(rotation=u @ vt)
 
 
 def aligned_error(est, r, wbar):

@@ -13,27 +13,24 @@ import sys
 
 from . import io
 from .embedding import ase
-from .errors import (
-    ConfigError,
-    FileFormatError,
-    OosAseError,
-    SolverError,
-)
+from .errors import ConfigError, OosAseError, SolverError
 from .experiments import ExperimentConfig, run_study
 from .model import as_generator, sample_adjacency, sample_latents, sample_oos_edges
 from .oos import lls_oos, ml_oos
 from .theory import ClassifySpec
 
 
-def _require_inputs(*paths):
-    for p in paths:
-        if not os.path.exists(p):
-            raise FileFormatError(f"input not found: {p}")
+def _int_list(text):
+    """argparse type of a comma list of integers."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma list of integers: {text!r}") from None
 
 
 def cmd_sample(args):
     """Sample a graph, its latent positions, and one out-of-sample vertex."""
-    _require_inputs(args.spec)
     dist = io.read_distribution(args.spec)
     if args.n < 1:
         raise ConfigError("--n must be >= 1")
@@ -51,7 +48,6 @@ def cmd_sample(args):
 
 
 def cmd_embed(args):
-    _require_inputs(args.graph)
     adj = io.read_edge_list(args.graph)
     emb = ase(adj, args.dim)
     io.write_embedding(emb, args.out + ".csv", args.out + ".json")
@@ -59,7 +55,6 @@ def cmd_embed(args):
 
 
 def cmd_oos(args):
-    _require_inputs(args.embedding + ".csv", args.embedding + ".json", args.edges)
     emb = io.read_embedding(args.embedding + ".csv", args.embedding + ".json")
     edges = io.read_edge_vector(args.edges)
     if args.method == "ls":
@@ -79,13 +74,11 @@ _STUDY_NAMES = {
 
 
 def cmd_experiment(args):
-    _require_inputs(args.spec)
     study = _STUDY_NAMES[args.study]
-    n_grid = tuple(int(v) for v in args.n.split(","))
     dist = io.read_distribution(args.spec)
     kwargs = dict(
         study=study,
-        n_grid=n_grid,
+        n_grid=args.n,
         trials=args.trials,
         epsilon=args.eps,
         master_seed=args.seed,
@@ -93,8 +86,7 @@ def cmd_experiment(args):
     )
     if study == "error_ratio":
         kwargs["spec"] = ClassifySpec.from_distribution(dist)
-        if args.m_grid:
-            kwargs["m_grid"] = tuple(int(v) for v in args.m_grid.split(","))
+        kwargs["m_grid"] = args.m_grid or ()
     else:
         kwargs["dist"] = dist
         if args.wbar_atom is not None:
@@ -142,7 +134,7 @@ def build_parser():
     p = sub.add_parser("experiment", help="run a Monte-Carlo study")
     p.add_argument("--study", required=True, choices=sorted(_STUDY_NAMES))
     p.add_argument("--spec", required=True, help="distribution spec JSON")
-    p.add_argument("--n", required=True,
+    p.add_argument("--n", type=_int_list, required=True,
                    help="vertex count, or comma list for rate/ratio grids")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
@@ -152,7 +144,7 @@ def build_parser():
     p.add_argument("--wbar-atom", type=int, default=None,
                    help="fix the OOS vertex to this atom (default: draw from F; "
                    "rate sweeps default to atom 0)")
-    p.add_argument("--m-grid", default=None,
+    p.add_argument("--m-grid", type=_int_list, default=None,
                    help="comma list of m values for the ratio study")
     p.add_argument("--out", required=True, help="study output directory")
     p.set_defaults(func=cmd_experiment)

@@ -66,6 +66,8 @@ class ExperimentConfig:
             self.m_grid = tuple(int(m) for m in self.m_grid) or tuple(
                 range(1, 101)
             ) + tuple(int(v) for v in np.unique(np.logspace(2.1, 4, 40).astype(int)))
+            if any(m < 1 for m in self.m_grid):
+                raise ConfigError("m_grid entries must be >= 1")
         else:
             if self.dist is None:
                 raise ConfigError(f"{self.study} study needs a LatentDistribution")
@@ -73,6 +75,9 @@ class ExperimentConfig:
                 raise ConfigError("CLT studies use a single n")
             if self.study == "rate_sweep" and len(self.n_grid) < 4:
                 raise ConfigError("rate sweep needs at least 4 grid points")
+            if self.n_grid[0] < self.dist.dimension:  # no trial could embed
+                raise ConfigError(f"n_grid entries must be >= the "
+                                  f"dimension {self.dist.dimension}")
             if self.wbar is not None:
                 self.wbar = np.asarray(self.wbar, dtype=float).ravel()
                 self.dist.edge_probabilities(self.wbar)  # fail before trials
@@ -111,33 +116,33 @@ def _map_trials(fn, keys, workers):
         return list(pool.map(fn, keys))  # order preserved -> deterministic merge
 
 
-def _simulate_vertex(cfg, n, rng, wbar):
-    """One graph plus one out-of-sample vertex; returns (X, emb, a, wbar).
-
-    wbar=None draws the out-of-sample vertex's position from F along with
-    the in-sample ones (the n+1 draws of the mixture-of-normals picture).
-    """
-    if wbar is not None:
-        lat = sample_latents(cfg.dist, n, rng)
-    else:
-        lat_all = sample_latents(cfg.dist, n + 1, rng)
-        lat = LatentMatrix(rows=lat_all.rows[:n])
-        wbar = lat_all.rows[n]
-    emb = ase(sample_adjacency(lat, rng), cfg.dist.dimension)
-    return lat, emb, sample_oos_edges(lat, wbar, rng), wbar
-
-
 def _run_trial(cfg, index, n, rng, wbar, methods):
-    """One trial: simulate a graph and a vertex, align the embedding to the
-    truth by Procrustes, then place the vertex by each method in turn. One
-    record per method: a failed simulation fails every record with its
-    message, a failed solve only its own."""
-    records, rot = [], None  # rot stays None until the simulation is done
+    """One trial: draw a graph and a vertex, embed the graph and align it to
+    the truth by Procrustes, then place the vertex by each method in turn.
+
+    wbar=None draws the vertex's position from F along with the in-sample
+    ones (the n+1 draws of the mixture-of-normals picture). One record per
+    method: a failed simulation fails every record with its message, a
+    failed placement only its own.
+    """
+    def failed(method, exc):
+        return TrialRecord(trial=index, n=n, method=method,
+                           status=type(exc).__name__, message=str(exc))
+
+    try:
+        if wbar is not None:
+            lat = sample_latents(cfg.dist, n, rng)
+        else:
+            lat_all = sample_latents(cfg.dist, n + 1, rng)
+            lat, wbar = LatentMatrix(rows=lat_all.rows[:n]), lat_all.rows[n]
+        emb = ase(sample_adjacency(lat, rng), cfg.dist.dimension)
+        avec = sample_oos_edges(lat, wbar, rng)
+        rot = procrustes(emb.positions, lat.rows)
+    except OosAseError as exc:
+        return [failed(m, exc) for m in methods]
+    records = []
     for method in methods:
         try:
-            if rot is None:
-                lat, emb, avec, wbar = _simulate_vertex(cfg, n, rng, wbar)
-                rot = procrustes(emb.positions, lat.rows)
             if method == "LS":
                 est = lls_oos(emb, avec)
             else:
@@ -148,14 +153,7 @@ def _run_trial(cfg, index, n, rng, wbar, methods):
                 aligned_error=aligned_error(est, rot, wbar),
             ))
         except OosAseError as exc:
-            failed = methods if rot is None else (method,)
-            records += [
-                TrialRecord(trial=index, n=n, method=m,
-                            status=type(exc).__name__, message=str(exc))
-                for m in failed
-            ]
-            if rot is None:
-                break
+            records.append(failed(method, exc))
     return records
 
 

@@ -14,8 +14,7 @@ classification between the classes has an analytic threshold and error
 rate; those drive the in-sample vs out-of-sample trade-off curve.
 """
 
-import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import chdtri, erfc
@@ -68,12 +67,17 @@ class ClassifySpec:
     lam: float
     p: float
     q: float
+    # (sigma_p^2, sigma_q^2), computed once: classify_error reads them twice
+    _variances: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.lam < 1.0:
             raise ConfigError("lam must be in (0, 1)")
         if not 0.0 < self.p < self.q < 1.0:
             raise ConfigError("need 0 < p < q < 1")
+        dist = self.distribution()
+        object.__setattr__(self, "_variances", tuple(
+            float(sigma_clt(dist, [x])[0, 0]) for x in (self.p, self.q)))
 
     def distribution(self):
         return LatentDistribution(
@@ -96,15 +100,7 @@ class ClassifySpec:
 
     def variances(self):
         """(sigma_p^2, sigma_q^2): limiting variances for each class."""
-        return _class_variances(self.lam, self.p, self.q)
-
-
-@functools.lru_cache(maxsize=256)
-def _class_variances(lam, p, q):
-    """ClassifySpec.variances, cached: they depend on (lam, p, q) alone, and
-    every classify_error call needs them twice."""
-    dist = ClassifySpec(lam, p, q).distribution()
-    return float(sigma_clt(dist, [p])[0, 0]), float(sigma_clt(dist, [q])[0, 0])
+        return self._variances
 
 
 def _log_density_diff_coeffs(spec, scale):

@@ -550,12 +550,55 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
             assert "eps must lie in (0, 1/2)" in capsys.readouterr().err
             assert not (tmp_path / "z").exists()
 
+    # m counts held-out vertices, and no trial embeds fewer vertices than
+    # the spec's dimension
+    mix_2d = os.path.join(PRESET_DIR, "mixture_2d.json")
+    for args, message in (
+        (["ratio", "--spec", ratio_spec, "--n", "100", "--m-grid", "0"],
+         "m_grid entries must be >= 1"),
+        (["ratio", "--spec", ratio_spec, "--n", "100", "--m-grid", "-5"],
+         "m_grid entries must be >= 1"),
+        (["clt-ls", "--spec", mix_2d, "--n", "1", "--trials", "3"],
+         "n_grid entries must be >= the dimension 2"),
+    ):
+        rc = main(["experiment", "--study"] + args + ["--out",
+                                                      str(tmp_path / "z")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "z").exists()
+
 
 def test_cli_missing_input_exit_5(tmp_path, capsys):
-    rc = main(["sample", "--spec", str(tmp_path / "absent.json"),
-               "--n", "10", "--out", str(tmp_path / "x")])
-    assert rc == 5
-    assert "input not found" in capsys.readouterr().err
+    """A missing input is the OS error, naming the path, with exit 5; no
+    command has made its output by then."""
+    spec = _write_mix_spec(tmp_path)
+    run = tmp_path / "run"
+    assert main(["sample", "--spec", spec, "--n", "40", "--out",
+                 str(run)]) == 0
+    assert main(["embed", "--graph", str(run / "graph.txt"), "--dim", "2",
+                 "--out", str(run / "embedding")]) == 0
+    capsys.readouterr()
+    absent = str(tmp_path / "absent")
+    out = tmp_path / "out"
+    oos = ["oos", "--method", "ls", "--embedding"]
+    for argv, missing in (
+        (["sample", "--spec", absent, "--n", "10", "--out", str(out)], absent),
+        (["embed", "--graph", absent, "--dim", "2", "--out", str(out)],
+         absent),
+        (oos + [absent, "--edges", str(run / "oos_edges.csv")],
+         absent + ".csv"),
+        (oos + [str(run / "embedding"), "--edges", absent], absent),
+        (["experiment", "--study", "clt-ls", "--spec", absent, "--n", "50",
+          "--trials", "2", "--out", str(out)], absent),
+    ):
+        assert main(argv) == 5
+        err = capsys.readouterr().err
+        assert "No such file or directory" in err and missing in err
+        assert sorted(os.listdir(tmp_path)) == ["mix.json", "run"]
+    os.remove(run / "embedding.json")
+    assert main(oos + [str(run / "embedding"), "--edges",
+                       str(run / "oos_edges.csv")]) == 5
+    assert str(run / "embedding.json") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("order", ["1000000000000", "-3", "0"])
@@ -682,6 +725,23 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert exc.value.code == 2
     capsys.readouterr()
 
+    # a comma list that is not integers is a usage error, not a traceback
+    mix_2d = os.path.join(PRESET_DIR, "mixture_2d.json")
+    ratio_spec = os.path.join(PRESET_DIR, "classify_1d.json")
+    for argv, flag in (
+        (["--study", "rate", "--spec", mix_2d, "--n", "abc"], "--n"),
+        (["--study", "rate", "--spec", mix_2d, "--n", ","], "--n"),
+        (["--study", "ratio", "--spec", ratio_spec, "--n", "100",
+          "--m-grid", "x"], "--m-grid"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment"] + argv + ["--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument {flag}: not a comma list of integers" in err
+    assert not (tmp_path / "x").exists()
+
 
 def test_cli_infeasible_box_exit_4(tmp_path, capsys):
     """At eps=0.4 the box needs every estimated inner product inside
@@ -802,10 +862,12 @@ def test_public_names_and_benchmark_trace_targets_resolve(monkeypatch):
     # Every exported name exists, and every function that the benchmark's
     # tracer wraps by name (TARGETS in bench/spans.py) is still there, so
     # a deletion that would break `bench/run.py --trace 1` fails here.
+    # The import leaves no bytecode cache under bench/.
     import oos_ase
 
     missing = [name for name in oos_ase.__all__ if not hasattr(oos_ase, name)]
     assert missing == []
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(os.path.join(REPO_ROOT, "bench"))
     spans = importlib.import_module("spans")
     assert spans.TARGETS

@@ -51,6 +51,16 @@ def test_config_validation():
         ExperimentConfig(study="error_ratio", n_grid=(100,))
     with pytest.raises(ConfigError, match="LatentDistribution"):
         ExperimentConfig(study="clt_ls", n_grid=(50,))
+    for m_grid in ((0,), (-5,), (1, 0, 2)):
+        with pytest.raises(ConfigError, match="m_grid entries must be >= 1"):
+            ExperimentConfig(study="error_ratio", spec=SPEC, n_grid=(100,),
+                             m_grid=m_grid)
+    # no trial can embed MIX in 2 dimensions with fewer than 2 vertices
+    for study, n_grid in (("clt_ls", (1,)), ("clt_ml", (1,)),
+                          ("rate_sweep", (1, 10, 20, 40))):
+        with pytest.raises(ConfigError, match=">= the dimension 2"):
+            ExperimentConfig(study=study, dist=MIX, n_grid=n_grid)
+    ExperimentConfig(study="clt_ls", dist=MIX, n_grid=(2,))
 
 
 def test_substreams_are_keyed_and_reproducible():
