@@ -2,8 +2,11 @@
 
 Subcommands: sample, embed, oos, experiment. Exit codes: 0 success,
 2 configuration error, 3 numerical degeneracy, 4 solver failure, 5 I/O.
-The CLI itself is single-threaded; `experiment --workers` fans trials out
-(default 1).
+`experiment --workers N` (default 1) runs the trials in N forked processes,
+largest graphs first, and writes the same bytes for every N. Each process
+runs its own BLAS thread pool, so run with OPENBLAS_NUM_THREADS=1 when
+N > 1; on Python >= 3.12, forking a process that has live BLAS threads
+emits a DeprecationWarning. A platform without fork exits with 2 for N > 1.
 """
 
 import argparse
@@ -76,6 +79,8 @@ _STUDY_NAMES = {
 def cmd_experiment(args):
     study = _STUDY_NAMES[args.study]
     dist = io.read_distribution(args.spec)
+    if args.wbar_atom is not None and not 0 <= args.wbar_atom < dist.n_atoms:
+        raise ConfigError(f"--wbar-atom {args.wbar_atom} out of range")
     kwargs = dict(
         study=study,
         n_grid=args.n,
@@ -90,8 +95,6 @@ def cmd_experiment(args):
     else:
         kwargs["dist"] = dist
         if args.wbar_atom is not None:
-            if not 0 <= args.wbar_atom < dist.n_atoms:
-                raise ConfigError(f"--wbar-atom {args.wbar_atom} out of range")
             kwargs["wbar"] = dist.points[args.wbar_atom]
     cfg = ExperimentConfig(**kwargs)
     result = run_study(cfg)
@@ -140,7 +143,9 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel trial workers (default 1)")
+                   help="trial worker processes, forked, largest graphs "
+                   "first; output is the same for every count (default 1; "
+                   "use OPENBLAS_NUM_THREADS=1 above 1)")
     p.add_argument("--wbar-atom", type=int, default=None,
                    help="fix the OOS vertex to this atom (default: draw from F; "
                    "rate sweeps default to atom 0)")

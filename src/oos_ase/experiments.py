@@ -3,15 +3,21 @@ analytic error-ratio curves.
 
 Every trial derives its own counter-based RNG substream from
 (master_seed, trial identity), so results are byte-identical no matter how
-many workers run them or in which order they finish. Studies never abort on
-a failed trial; failures are recorded and reported in the summary, and the
-summary itself is a pure fold over the trial records (recomputable from the
-persisted records alone).
+many workers run them or in which order they finish. With workers > 1 the
+trials run in that many forked processes (a rate sweep hands out its
+largest graphs first), and the records come back in trial order. Each
+process runs its own BLAS thread pool, so set OPENBLAS_NUM_THREADS=1 when
+workers fill the cores; on Python >= 3.12, forking a process that has live
+BLAS threads emits a DeprecationWarning. A platform without fork refuses
+workers > 1. Studies never abort on a failed trial; failures are recorded
+and reported in the summary, and the summary itself is a pure fold over the
+trial records (recomputable from the persisted records alone).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +38,16 @@ from .theory import ClassifySpec, chi2_quantile, error_ratio_curve, sigma_clt
 STUDIES = ("clt_ls", "clt_ml", "rate_sweep", "error_ratio")
 
 
+def _grid(name, values):
+    """values as a tuple of ints, each >= 1 and strictly increasing."""
+    grid = tuple(int(v) for v in values)
+    if any(v < 1 for v in grid):
+        raise ConfigError(f"{name} entries must be >= 1")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError(f"{name} must be strictly increasing")
+    return grid
+
+
 @dataclass
 class ExperimentConfig:
     study: str
@@ -48,26 +64,24 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.study not in STUDIES:
             raise ConfigError(f"unknown study {self.study!r}")
-        self.n_grid = tuple(int(n) for n in self.n_grid)
-        if any(n < 1 for n in self.n_grid):
-            raise ConfigError("n_grid entries must be >= 1")
-        if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
-            raise ConfigError("n_grid must be strictly increasing")
+        self.n_grid = _grid("n_grid", self.n_grid)
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if (self.workers > 1
+                and "fork" not in multiprocessing.get_all_start_methods()):
+            raise ConfigError("workers > 1 needs the fork start method, "
+                              "which this platform lacks")
         check_eps(self.epsilon)  # the CLI passes --eps to every study
         if self.study == "error_ratio":
             if self.spec is None:
                 raise ConfigError("error_ratio study needs a ClassifySpec")
             if not self.n_grid:
                 raise ConfigError("error_ratio study needs n_grid")
-            self.m_grid = tuple(int(m) for m in self.m_grid) or tuple(
+            self.m_grid = _grid("m_grid", self.m_grid) or tuple(
                 range(1, 101)
             ) + tuple(int(v) for v in np.unique(np.logspace(2.1, 4, 40).astype(int)))
-            if any(m < 1 for m in self.m_grid):
-                raise ConfigError("m_grid entries must be >= 1")
         else:
             if self.dist is None:
                 raise ConfigError(f"{self.study} study needs a LatentDistribution")
@@ -109,11 +123,29 @@ def _substream(master_seed, *key):
     return np.random.Generator(np.random.Philox(seq))
 
 
+_trial = None  # a forked worker's trial callable, set by _start_worker
+
+
+def _start_worker(fn):
+    global _trial
+    _trial = fn
+
+
+def _call_trial(key):
+    return _trial(key)
+
+
 def _map_trials(fn, keys, workers):
+    """[fn(k) for k in keys], in key order. With workers > 1 the keys go,
+    in the order given, to forked processes; fork hands each one fn without
+    pickling it (a closure included), so only keys and results are sent."""
     if workers <= 1:
         return [fn(k) for k in keys]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, keys))  # order preserved -> deterministic merge
+    with ProcessPoolExecutor(max_workers=min(workers, len(keys)),
+                             mp_context=multiprocessing.get_context("fork"),
+                             initializer=_start_worker,
+                             initargs=(fn,)) as pool:
+        return list(pool.map(_call_trial, keys))
 
 
 def _run_trial(cfg, index, n, rng, wbar, methods):
@@ -284,7 +316,10 @@ def _run_rate_sweep(cfg):
     """Convergence-rate sweep: both estimators on the same graph per trial,
     median aligned error per n, and the fitted log-log slope."""
     keys = [(ni, t) for ni in range(len(cfg.n_grid)) for t in range(cfg.trials)]
-    nested = _map_trials(lambda k: _rate_trial(cfg, k), keys, cfg.workers)
+    # largest graphs first (n_grid increases), so the trials left when the
+    # workers run out of keys are the short ones; records in key order
+    nested = _map_trials(lambda k: _rate_trial(cfg, k), keys[::-1],
+                         cfg.workers)[::-1]
     records = [r for group in nested for r in group]
     summary = summarize_rate(cfg, records)
     rows = [

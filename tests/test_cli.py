@@ -558,6 +558,8 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
          "m_grid entries must be >= 1"),
         (["ratio", "--spec", ratio_spec, "--n", "100", "--m-grid", "-5"],
          "m_grid entries must be >= 1"),
+        (["ratio", "--spec", ratio_spec, "--n", "100", "--m-grid", "3,1,3"],
+         "m_grid must be strictly increasing"),
         (["clt-ls", "--spec", mix_2d, "--n", "1", "--trials", "3"],
          "n_grid entries must be >= the dimension 2"),
     ):
@@ -814,11 +816,19 @@ def test_cli_experiment_workers_identical(tmp_path, capsys):
 
 def test_cli_experiment_wbar_atom(tmp_path, capsys):
     spec = _write_mix_spec(tmp_path)
-    rc = main(["experiment", "--study", "clt-ls", "--spec", spec,
-               "--n", "50", "--trials", "2", "--wbar-atom", "5",
-               "--out", str(tmp_path / "x")])
-    assert rc == 2
-    assert "out of range" in capsys.readouterr().err
+    # every study checks the atom, the ratio study too, which has no use
+    # for it
+    ratio_spec = os.path.join(PRESET_DIR, "classify_1d.json")
+    for study, path, n in (("clt-ls", spec, "50"), ("clt-ml", spec, "50"),
+                           ("rate", spec, "20,30,40,50"),
+                           ("ratio", ratio_spec, "100")):
+        for atom in ("5", "7", "-1"):
+            rc = main(["experiment", "--study", study, "--spec", path,
+                       "--n", n, "--trials", "2", "--wbar-atom", atom,
+                       "--out", str(tmp_path / "x")])
+            assert rc == 2
+            assert f"--wbar-atom {atom} out of range" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
     rc = main(["experiment", "--study", "clt-ls", "--spec", spec,
                "--n", "50", "--trials", "3", "--wbar-atom", "0",

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -36,7 +38,7 @@ def _records_equal(a, b):
     return True
 
 
-def test_config_validation():
+def test_config_validation(monkeypatch):
     with pytest.raises(ConfigError, match="unknown study"):
         ExperimentConfig(study="bogus")
     with pytest.raises(ConfigError, match="single n"):
@@ -55,12 +57,22 @@ def test_config_validation():
         with pytest.raises(ConfigError, match="m_grid entries must be >= 1"):
             ExperimentConfig(study="error_ratio", spec=SPEC, n_grid=(100,),
                              m_grid=m_grid)
+    for m_grid in ((3, 1, 3), (1, 2, 2)):
+        with pytest.raises(ConfigError, match="m_grid must be strictly increasing"):
+            ExperimentConfig(study="error_ratio", spec=SPEC, n_grid=(100,),
+                             m_grid=m_grid)
     # no trial can embed MIX in 2 dimensions with fewer than 2 vertices
     for study, n_grid in (("clt_ls", (1,)), ("clt_ml", (1,)),
                           ("rate_sweep", (1, 10, 20, 40))):
         with pytest.raises(ConfigError, match=">= the dimension 2"):
             ExperimentConfig(study=study, dist=MIX, n_grid=n_grid)
     ExperimentConfig(study="clt_ls", dist=MIX, n_grid=(2,))
+    # worker processes are forked; without fork only one worker runs
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    with pytest.raises(ConfigError, match="fork start method"):
+        ExperimentConfig(study="clt_ls", dist=MIX, n_grid=(50,), workers=2)
+    ExperimentConfig(study="clt_ls", dist=MIX, n_grid=(50,), workers=1)
 
 
 def test_substreams_are_keyed_and_reproducible():
@@ -86,6 +98,37 @@ def test_clt_study_deterministic_and_worker_invariant():
     assert _records_equal(r1.records, r2.records)
     assert _records_equal(r1.records, r4.records)
     assert r1.summary == r4.summary
+
+    # a rate sweep hands its keys out largest n first; three workers on
+    # five keys still give the records in key order
+    rate = [run_study(ExperimentConfig(
+        study="rate_sweep", dist=MIX, n_grid=(30, 40, 50, 60, 70), trials=1,
+        master_seed=42, workers=workers)) for workers in (1, 3)]
+    assert _records_equal(rate[0].records, rate[1].records)
+    assert rate[0].summary == rate[1].summary
+    assert [(r.n, r.method) for r in rate[1].records] == [
+        (n, m) for n in (30, 40, 50, 60, 70) for m in ("LS", "ML")]
+
+
+def test_worker_processes_end_and_pass_trial_exceptions_on(monkeypatch):
+    cfg = ExperimentConfig(study="clt_ls", dist=MIX, n_grid=(40,), trials=4,
+                           master_seed=3, workers=2)
+    assert run_study(cfg).summary["failures"] == 0
+    assert multiprocessing.active_children() == []
+
+    # a trial error that is no OosAseError is a fault, not a failed trial:
+    # it stops the study and reaches the caller as it was raised
+    real = experiments._clt_trial
+
+    def crashing(cfg, index):
+        if index == 2:
+            raise ValueError(f"synthetic crash in trial {index}")
+        return real(cfg, index)
+
+    monkeypatch.setattr(experiments, "_clt_trial", crashing)
+    with pytest.raises(ValueError, match="^synthetic crash in trial 2$"):
+        run_study(cfg)
+    assert multiprocessing.active_children() == []
 
 
 def test_clt_summary_is_pure_fold_of_records():
