@@ -261,7 +261,8 @@ class AdjacencyMatrix:
 
 @dataclass(frozen=True, eq=False)
 class EdgeVector:
-    """Observed edges a_i of an out-of-sample vertex."""
+    """Observed edges a_i of an out-of-sample vertex. Entries are
+    validated, unless they are bool, which can only be 0 or 1."""
 
     a: np.ndarray
 
@@ -269,7 +270,7 @@ class EdgeVector:
         a = np.asarray(self.a)
         if a.ndim != 1:
             raise ConfigError("edge vector must be 1-D")
-        if a.size and not np.isin(a, (0, 1)).all():
+        if a.dtype != bool and a.size and not np.isin(a, (0, 1)).all():
             raise ConfigError("edge vector entries must be 0 or 1")
         object.__setattr__(self, "a", a.astype(np.uint8))
 
@@ -355,8 +356,7 @@ def sample_oos_edges(x, wbar, seed):
     probs = rows @ wbar
     _check_probabilities(probs, "out-of-sample edge")
     rng = as_generator(seed)
-    bits = (rng.random(rows.shape[0]) < probs).astype(np.uint8)
-    return EdgeVector(a=bits)
+    return EdgeVector(a=rng.random(rows.shape[0]) < probs)
 
 
 def augment(a, e):

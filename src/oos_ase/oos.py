@@ -61,6 +61,11 @@ MAX_ITER = 500
 COND_LIMIT = 1e12
 BOUNDARY_FRACTION = 0.95
 
+# A row i is active when X-hat_i^T w is within ACTIVE_TOL of eps or 1 - eps.
+ACTIVE_TOL = 1e-9
+
+_ULP = np.finfo(float).eps
+
 
 def check_eps(eps):
     """Raise unless the ML box margin eps lies in (0, 1/2)."""
@@ -96,17 +101,22 @@ def lls_oos(emb, a):
     return OosEstimate(w=_ls_position(emb, _edge_values(a, emb.n)), method="LS")
 
 
-def _loglik(x, avec, w):
-    """(value, gradient, Hessian, p = x w) of the log-likelihood at w; outside
-    its domain 0 < p < 1 the value is -inf and the derivatives are None."""
-    p = x @ w
-    if not (p.min() > 0.0 and p.max() < 1.0):  # NaN fails it too
-        return -np.inf, None, None, p
-    value = float(avec @ np.log(p) + (1.0 - avec) @ np.log1p(-p))
-    grad = x.T @ ((avec - p) / (p * (1.0 - p)))
-    curv = avec / p**2 + (1.0 - avec) / (1.0 - p) ** 2
-    hess = -(x.T * curv) @ x
-    return value, grad, hess, p
+def _value(avec, bvec, p):
+    """(value, min p, max p) of the log-likelihood at p = X-hat w, where
+    bvec = 1 - avec; outside its domain 0 < p < 1 the value is -inf."""
+    pmin, pmax = p.min(), p.max()
+    if not (pmin > 0.0 and pmax < 1.0):  # NaN fails it too
+        return -np.inf, pmin, pmax
+    return float(avec @ np.log(p) + bvec @ np.log1p(-p)), pmin, pmax
+
+
+def _gradient(x, avec, p):
+    return x.T @ ((avec - p) / (p * (1.0 - p)))
+
+
+def _hessian(x, avec, bvec, p):
+    curv = avec / p**2 + bvec / (1.0 - p) ** 2
+    return -(x.T * curv) @ x
 
 
 def likelihood(emb, a, w):
@@ -124,13 +134,15 @@ def likelihood(emb, a, w):
     w = np.asarray(w, dtype=float).ravel()
     if w.shape[0] != emb.d:
         raise ConfigError("w dimension does not match embedding")
-    value, grad, hess, p = _loglik(emb.positions, avec, w)
-    if grad is None:
+    x, bvec = emb.positions, 1.0 - avec
+    p = x @ w
+    value, _, _ = _value(avec, bvec, p)
+    if value == -np.inf:
         i = int(np.argmax(~((p > 0.0) & (p < 1.0))))
         raise ConfigError(
             f"w outside the likelihood domain: X-hat_{i}^T w = {p[i]}"
         )
-    return value, grad, hess
+    return value, _gradient(x, avec, p), _hessian(x, avec, bvec, p)
 
 
 def _chebyshev_point(x, lo, hi):
@@ -155,6 +167,37 @@ def _chebyshev_point(x, lo, hi):
 
 def _box_margin(p, lo, hi):
     return float(min(p.min() - lo, hi - p.max()))
+
+
+def _active_rows(p, pmin, pmax, lo, hi):
+    """Masks (at lo, at hi) of the active rows, or None when none is.
+    Rounding is monotone, so p_i - lo >= pmin - lo and hi - p_i >= hi - pmax
+    hold in floating point too: pmin and pmax alone settle the interior."""
+    if pmin - lo > ACTIVE_TOL and hi - pmax > ACTIVE_TOL:
+        return None
+    return (p - lo) <= ACTIVE_TOL, (hi - p) <= ACTIVE_TOL
+
+
+def _fraction_to_boundary(s, p, lo, hi, skip):
+    """Largest alpha <= 1 that moves p by alpha s at most BOUNDARY_FRACTION
+    of the way to the box's bounds, over the rows not in the mask skip."""
+    # zero s_i are skipped below, tiny ones overflow to inf (no bound), and
+    # a NaN one leaves alpha at 1.0, since min(1.0, NaN) is 1.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        room = np.where(s > 0, hi - p, lo - p) / s
+    room[skip | (s == 0)] = np.inf
+    return min(1.0, BOUNDARY_FRACTION * float(room.min()))
+
+
+def _step_cap(s, p, pmin, pmax, lo, hi, skip):
+    """_fraction_to_boundary, skipping its n-length scan when 1.25 max|s_i|
+    is below the box margin min(pmin - lo, hi - pmax). Every row then has
+    room above 1.25 (1 - 2^-52) even after rounding, and 0.95 of that is
+    above 1, so the scan would return 1.0 exactly. NaN in s fails the test
+    and takes the scan."""
+    if 1.25 * np.maximum(s.max(), -s.min()) < min(pmin - lo, hi - pmax):
+        return 1.0
+    return _fraction_to_boundary(s, p, lo, hi, skip)
 
 
 def ml_oos(emb, a, eps=0.05):
@@ -183,6 +226,17 @@ def ml_oos(emb, a, eps=0.05):
     ROUNDING_SLOPE units of rounding of the objective; the estimate then
     reports its gradient norm as it is, which may exceed tol.
 
+    Each iteration evaluates only what it reads: the gradient at the
+    current point; the Hessian, with the eigenvalues that check it is
+    negative semidefinite, only once the tolerance test has failed, so at
+    no returned point (the check runs before each step; no finite input
+    reaches it, as the curvature weights a_i / p_i^2 + (1 - a_i) /
+    (1 - p_i)^2 are >= 0); and in the line search the value alone. The
+    active rows are looked for only when min p or max p lies within
+    ACTIVE_TOL of the box, and the fraction-to-boundary scan runs only
+    when some |X-hat_i^T direction| is at least 1/1.25 of the box margin;
+    below that it would return 1 exactly.
+
     The estimate may sit on the box, its active constraints counted in the
     diagnostics; an empty box raises FeasibilityError. T_eps is built from
     X-hat, so one noisy row with X-hat_i^T w-bar < eps cuts w-bar out of
@@ -193,9 +247,9 @@ def ml_oos(emb, a, eps=0.05):
     x = emb.positions
     n = x.shape[0]
     avec = _edge_values(a, n)
+    bvec = 1.0 - avec
     tol = TOL_PER_VERTEX * n
     lo, hi = eps, 1.0 - eps
-    active_tol = 1e-9
 
     w = _ls_position(emb, avec)
     p = x @ w
@@ -211,34 +265,38 @@ def ml_oos(emb, a, eps=0.05):
             else:
                 t_lo = t
         w = w + t_hi * (w_int - w)
+        p = x @ w
 
     # inside the box, so inside the likelihood's domain
-    value, grad, hess, p = _loglik(x, avec, w)
+    value, pmin, pmax = _value(avec, bvec, p)
     init_value = value
-    pg_norm = np.linalg.norm(grad)
     n_active = 0
     iterations = 0
 
     for iterations in range(1, MAX_ITER + 1):
+        grad = _gradient(x, avec, p)
+
+        # stationarity: plain gradient norm in the interior, KKT residual
+        # against active constraint normals on the boundary
+        masks = _active_rows(p, pmin, pmax, lo, hi)
+        if masks is None:
+            n_active, active = 0, False
+            pg_norm = float(np.linalg.norm(grad))
+        else:
+            act_lo, act_hi = masks
+            active = act_lo | act_hi
+            n_active = int(act_lo.sum() + act_hi.sum())
+            normals = np.concatenate([x[act_lo], -x[act_hi]]).T  # d x m
+            lam, pg_norm = scipy.optimize.nnls(normals, -grad)
+        if pg_norm <= tol:
+            break
+
+        hess = _hessian(x, avec, bvec, p)
         eigs = np.linalg.eigvalsh(hess)
         if eigs[-1] > 1e-8:
             raise SolverError(
                 f"Hessian lost negative semidefiniteness (max eig {eigs[-1]:.3e})"
             )
-
-        # stationarity: plain gradient norm in the interior, KKT residual
-        # against active constraint normals on the boundary
-        act_lo = (p - lo) <= active_tol
-        act_hi = (hi - p) <= active_tol
-        active = act_lo | act_hi
-        n_active = int(act_lo.sum() + act_hi.sum())
-        if n_active:
-            normals = np.concatenate([x[act_lo], -x[act_hi]]).T  # d x m
-            lam, pg_norm = scipy.optimize.nnls(normals, -grad)
-        else:
-            pg_norm = float(np.linalg.norm(grad))
-        if pg_norm <= tol:
-            break
 
         # Newton, or the gradient when that is ill conditioned, on the free
         # subspace z: the null space of the active rows, all of R^d inside
@@ -263,7 +321,7 @@ def ml_oos(emb, a, eps=0.05):
                 # cone, so it ascends and releases constraints as needed
                 direction = grad + normals @ lam
         slope = float(grad @ direction)
-        rounding = np.finfo(float).eps * abs(value)
+        rounding = _ULP * abs(value)
         if not n_active and slope <= ROUNDING_SLOPE * rounding:
             # the step's predicted gain is within the rounding of the
             # objective, so Armijo can no longer tell ascent from noise and
@@ -278,15 +336,12 @@ def ml_oos(emb, a, eps=0.05):
         # fraction-to-boundary cap: largest alpha keeping p strictly inside.
         # Active rows are excluded — along-face directions change them only
         # by rounding, which the output's 1e-9 feasibility slack absorbs.
-        s = x @ direction
-        with np.errstate(divide="ignore", invalid="ignore"):
-            room = np.where(s > 0, hi - p, lo - p) / s
-        room[active | (s == 0)] = np.inf
-        alpha = min(1.0, BOUNDARY_FRACTION * float(room.min()))
+        alpha = _step_cap(x @ direction, p, pmin, pmax, lo, hi, active)
 
         while alpha > 1e-18:
             w_try = w + alpha * direction
-            at_try = _loglik(x, avec, w_try)
+            p_try = x @ w_try
+            at_try = _value(avec, bvec, p_try)
             if at_try[0] >= value + 1e-4 * alpha * slope:
                 break
             alpha *= 0.5
@@ -295,8 +350,8 @@ def ml_oos(emb, a, eps=0.05):
                 "line search stalled before reaching stationarity",
                 last_w=w, iterations=iterations, grad_norm=pg_norm,
             )
-        w = w_try
-        value, grad, hess, p = at_try
+        w, p = w_try, p_try
+        value, pmin, pmax = at_try
     else:
         raise NonConvergenceError(
             f"no convergence in {MAX_ITER} iterations "

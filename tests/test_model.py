@@ -188,8 +188,20 @@ def test_oos_edges_dimension_check():
 
 
 def test_edge_vector_validation():
-    with pytest.raises(ConfigError, match="0 or 1"):
-        EdgeVector(a=np.array([0, 2, 1]))
+    for bad in (np.array([0, 2, 1]), np.array([0.0, np.nan, 1.0])):
+        with pytest.raises(ConfigError, match="0 or 1"):
+            EdgeVector(a=bad)
+    # bool entries need no check, and are stored as the same uint8 bits
+    e = EdgeVector(a=np.array([True, False, True]))
+    assert e.a.dtype == np.uint8 and e.a.tolist() == [1, 0, 1]
+
+
+def test_oos_edges_store_the_bits_of_the_bernoulli_draw():
+    x = sample_latents(MIX, 300, seed=44)
+    e = sample_oos_edges(x, MIX.points[0], seed=45)
+    draw = model.as_generator(45).random(300) < x.rows @ MIX.points[0]
+    assert e.a.dtype == np.uint8
+    assert np.array_equal(e.a, draw.astype(np.uint8))
 
 
 def test_augment_places_edge_vector_in_last_row_and_column():

@@ -1,9 +1,10 @@
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from oos_ase import (
@@ -434,3 +435,192 @@ def test_ml_2d_placement_ending_on_one_face():
     av = a.a.astype(float)
     vals = av @ np.log(p[:, feas]) + (1 - av) @ np.log1p(-p[:, feas])
     assert est.objective >= vals.max() - 1e-9
+
+
+# ------------------------------------------------------ ML work and exact bits
+
+
+def _gram_embedding(n, seed):
+    """The embedding of P = Y Y^T, for rows Y of MIX plus N(0, 0.03^2)
+    noise, rotated by the eigenvectors of the 2 x 2 Gram Y^T Y. No
+    n-sized eigensolver runs, whose bits vary with the BLAS threads."""
+    x = sample_latents(MIX, n, seed=seed)
+    noisy = x.rows + 0.03 * np.random.default_rng(seed).standard_normal((n, 2))
+    _, rot = np.linalg.eigh(noisy.T @ noisy)
+    return x, _embedding_from_positions(noisy @ rot)
+
+
+def _golden_problems():
+    """(path, embedding, edge values, eps): one input per path of the ascent."""
+    x, emb = _gram_embedding(500, seed=0)
+    yield "interior Newton", emb, sample_oos_edges(x, MIX.points[0], seed=100), 0.05
+    x, emb = _gram_embedding(200, seed=1)
+    yield "rounding floor", emb, sample_oos_edges(x, MIX.points[0], seed=1002), 0.05
+    yield "Chebyshev start", _gram_embedding(200, seed=0)[1], np.ones(200), 0.05
+    x, emb = _gram_embedding(100, seed=0)
+    yield "one face", emb, sample_oos_edges(x, (0.95, 0.05), seed=132), 0.2
+    emb = _embedding_from_positions(np.array([[1.0], [0.5]]))
+    yield "tangent cone", emb, np.array([0.8, 0.65]) - 5e-10 * np.array([1.0, 0.5]), 0.1
+    emb, rng = _ill_conditioned_embedding(200, 0, seed=5)
+    yield "interior gradient", emb, rng.integers(0, 2, size=200).astype(float), 0.05
+    yield ("face gradient", *_face_gradient_problem(), 0.05)
+
+
+# float.hex of w, objective and grad_norm, then iterations and active rows
+GOLDEN_ML = {
+    "interior Newton": (
+        ["0x1.463b4d87cc5a7p-1", "0x1.646a32730598dp-2"],
+        "-0x1.4a6f463e223e4p+8", "0x1.4bf653c50d958p-27", 3, 0),
+    "rounding floor": (
+        ["-0x1.38b3aa292385ep-1", "-0x1.9331d2a783ed9p-2"],
+        "-0x1.0640e965cadb0p+7", "0x1.bf2c70831d6cdp-18", 2, 0),
+    "Chebyshev start": (
+        ["0x1.5013688483fb2p+0", "0x1.8b4b722be110bp-4"],
+        "-0x1.e5bc2de326a68p+4", "0x0.0p+0", 13, 2),
+    "one face": (
+        ["0x1.9818b59c4b1a2p-1", "-0x1.812adb9f8b74fp-1"],
+        "-0x1.bff0b1f007490p+5", "0x1.88b2f861ecc6bp-27", 10, 1),
+    "tangent cone": (
+        ["0x1.b63b9f620c147p-1"],
+        "-0x1.4254904c9e007p+0", "0x1.ad69800000000p-37", 6, 0),
+    "interior gradient": (
+        ["0x1.e675de2ec3c61p-1", "-0x1.59e035579d048p+21"],
+        "-0x1.1470463f8c352p+7", "0x1.b5a959ffaf65bp-20", 18, 0),
+    "face gradient": (
+        ["0x1.f433304fbf531p-1", "0x1.144adbbde667cp+1", "-0x1.fd333efc47451p+19"],
+        "-0x1.81b926bb61d5ep+6", "0x1.4b3a8b8e2a509p-21", 13, 2),
+}
+
+
+def test_ml_estimates_keep_their_golden_bits():
+    # exact bits pin every path of the ascent, so a change to its work
+    # (what it evaluates, and when) cannot move a result unseen
+    for name, emb, a, eps in _golden_problems():
+        est = ml_oos(emb, a, eps=eps)
+        got = (
+            [float(v).hex() for v in est.w],
+            float(est.objective).hex(),
+            float(est.grad_norm).hex(),
+            est.iterations,
+            est.active_constraints,
+        )
+        assert got == GOLDEN_ML[name], name
+
+
+def _count_calls(monkeypatch, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _real=getattr(oos, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(oos, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("path", ["interior Newton", "rounding floor"])
+def test_ml_evaluates_each_likelihood_term_only_when_it_is_read(monkeypatch, path):
+    _, emb, a, eps = next(p for p in _golden_problems() if p[0] == path)
+    calls = _count_calls(
+        monkeypatch, ["_value", "_gradient", "_hessian", "_fraction_to_boundary"]
+    )
+    est = ml_oos(emb, a, eps=eps)
+    tol_stop = est.grad_norm <= oos.TOL_PER_VERTEX * emb.n
+    assert tol_stop == (path == "interior Newton")
+    # every iteration but the last takes a step; the last stops on the
+    # tolerance before any Hessian, or on the rounding floor after one
+    steps = est.iterations - 1
+    assert calls["_gradient"] == steps + 1  # the start and each accepted point
+    assert calls["_hessian"] == steps + (not tol_stop)
+    assert calls["_value"] == steps + 1  # each full step passed Armijo at once
+    assert calls["_fraction_to_boundary"] == 0  # far from the box: alpha = 1
+
+
+_BOXES = st.sampled_from([0.02, 0.05, 0.2, 0.45])
+
+
+def _near(x, ulps):
+    """x moved by `ulps` units in the last place."""
+    return float(x + ulps * np.spacing(x))
+
+
+def _box_values(lo):
+    """Values of p inside, near and just past the box [lo, 1 - lo] and the
+    ACTIVE_TOL band inside it, to the last place."""
+    hi = 1.0 - lo
+    edges = [lo, lo + oos.ACTIVE_TOL, hi - oos.ACTIVE_TOL, hi, 0.5]
+    return st.one_of(
+        st.floats(lo - 1e-6, hi + 1e-6),
+        st.builds(_near, st.sampled_from(edges), st.integers(-3, 3)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), _BOXES)
+def test_active_rows_reads_the_interior_off_min_and_max(data, lo):
+    hi = 1.0 - lo
+    p = np.array(data.draw(st.lists(_box_values(lo), min_size=1, max_size=12)))
+    act_lo = (p - lo) <= oos.ACTIVE_TOL
+    act_hi = (hi - p) <= oos.ACTIVE_TOL
+    masks = oos._active_rows(p, p.min(), p.max(), lo, hi)
+    if masks is None:
+        assert not (act_lo.any() or act_hi.any())
+    else:
+        assert act_lo.any() or act_hi.any()
+        assert np.array_equal(masks[0], act_lo)
+        assert np.array_equal(masks[1], act_hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), _BOXES)
+def test_step_cap_shortcut_gives_exactly_the_full_scan(data, lo):
+    hi = 1.0 - lo
+    p = np.array(data.draw(st.lists(_box_values(lo), min_size=1, max_size=12)))
+    n = p.size
+    # directions whose largest |s_i| is a multiple of the box margin: near
+    # the shortcut's threshold 1 / 1.25, near the scan's 0.95 and 1, or
+    # anywhere up to 2; plus zero, large and NaN entries
+    margin = min(p.min() - lo, hi - p.max())
+    factor = data.draw(st.one_of(
+        st.builds(_near, st.sampled_from([0.8, 0.95, 1.0]), st.integers(-3, 3)),
+        st.floats(0.0, 2.0),
+    ))
+    scale = data.draw(st.sampled_from([factor * abs(margin), 10.0 * factor]))
+    unit = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    # the largest entry anywhere, or on the row nearest the box, toward it
+    at_lo = p.min() - lo <= hi - p.max()
+    unit[data.draw(st.sampled_from(
+        [int(np.argmin(p) if at_lo else np.argmax(p))] + list(range(n))
+    ))] = data.draw(st.sampled_from([-1.0 if at_lo else 1.0, -1.0, 1.0]))
+    s = scale * np.array(unit)
+    if data.draw(st.booleans()):
+        s[data.draw(st.integers(0, n - 1))] = data.draw(
+            st.sampled_from([np.nan, 0.0, -1.0, 1.0]))
+    skip = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    skip = data.draw(st.sampled_from([False, skip]))
+
+    with mock.patch.object(
+        oos, "_fraction_to_boundary", wraps=oos._fraction_to_boundary
+    ) as scan:
+        got = oos._step_cap(s, p, p.min(), p.max(), lo, hi, skip)
+        full = oos._fraction_to_boundary(s, p, lo, hi, skip)
+    event("shortcut" if scan.call_count == 1 else "full scan")
+    assert got == full
+    if scan.call_count == 1:  # the shortcut, then the check's own scan
+        assert got == 1.0
+    if np.isnan(s).any():
+        assert scan.call_count == 2
+
+
+def test_step_cap_shortcut_holds_up_to_its_threshold():
+    # the largest |s| the shortcut takes, against a full scan of 1.0
+    lo, hi = 0.05, 0.95
+    p = np.array([0.3, 0.6, 0.7])
+    margin = hi - 0.7
+    s = np.array([0.0, -1.0, 1.0]) * np.nextafter(margin / 1.25, 0.0)
+    assert 1.25 * np.abs(s).max() < margin
+    with mock.patch.object(
+        oos, "_fraction_to_boundary", wraps=oos._fraction_to_boundary
+    ) as scan:
+        assert oos._step_cap(s, p, p.min(), p.max(), lo, hi, False) == 1.0
+    assert not scan.called
+    assert oos._fraction_to_boundary(s, p, lo, hi, False) == 1.0
