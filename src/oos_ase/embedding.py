@@ -1,8 +1,9 @@
 """Adjacency spectral embedding.
 
 The embedding of a graph is X-hat = U_A S_A^{1/2} built from the top-d
-algebraically largest eigenpairs of the adjacency matrix, which are kept on
-the result: the LS estimate reads U_A and S_A, the ML ascent X-hat.
+algebraically largest eigenpairs of the adjacency matrix. The result keeps
+the eigenpairs alone, and both out-of-sample solvers read them: the LS
+estimate U_A and S_A, the ML ascent U_A in the frame v = S_A^{1/2} w.
 """
 
 from dataclasses import dataclass
@@ -16,40 +17,33 @@ from .model import AdjacencyMatrix
 
 @dataclass(frozen=True, eq=False)
 class Embedding:
-    """Estimated latent positions with the eigenpairs that produced them.
+    """The top-d eigenpairs of a graph, whose estimated latent positions are
+    X-hat = vectors * sqrt(values).
 
-    Invariants (checked at construction): positions equal
-    vectors * sqrt(values) entrywise to 1e-12, and every retained
-    eigenvalue is strictly positive.
+    Invariant (checked at construction): every retained eigenvalue is
+    strictly positive.
     """
 
-    # Both stay, as neither rounds back from the other: (V s) / s != V in
-    # about 10 % of entries at n = 2000 (the LS bits of studies would move),
-    # and (P / s) s != P in 200 of 200 random embeddings (ML from files).
-    positions: np.ndarray  # (n, d)
     eig: EigenPairs
 
     def __post_init__(self):
-        positions = np.asarray(self.positions, dtype=float)
-        object.__setattr__(self, "positions", positions)
-        # both checks are written so that a NaN fails them
-        if not np.all(self.eig.values > 0):
+        if not np.all(self.eig.values > 0):  # NaN fails it too
             raise DegenerateSpectrumError(
                 "retained eigenvalues must be strictly positive"
             )
-        expected = self.eig.vectors * np.sqrt(self.eig.values)
-        if positions.shape != expected.shape or not np.max(
-            np.abs(positions - expected)
-        ) <= 1e-12:
-            raise ConfigError("positions do not equal U * sqrt(S) within 1e-12")
+
+    @property
+    def positions(self):
+        """X-hat, (n, d)."""
+        return self.eig.vectors * np.sqrt(self.eig.values)
 
     @property
     def n(self):
-        return self.positions.shape[0]
+        return self.eig.vectors.shape[0]
 
     @property
     def d(self):
-        return self.positions.shape[1]
+        return self.eig.vectors.shape[1]
 
 
 def embed_matrix(m, d):
@@ -71,8 +65,7 @@ def embed_matrix(m, d):
             f"top-{d} spectrum not strictly positive: min eigenvalue "
             f"{eig.values.min():.3e}"
         )
-    positions = eig.vectors * np.sqrt(eig.values)
-    return Embedding(positions=positions, eig=eig)
+    return Embedding(eig=eig)
 
 
 def ase(a, d):

@@ -327,7 +327,7 @@ def read_embedding(csv_path, sidecar_path):
         )
     try:
         eig = EigenPairs(values=values, vectors=positions / np.sqrt(values))
-        return Embedding(positions=positions, eig=eig)
+        return Embedding(eig=eig)
     except ConfigError as exc:
         raise FileFormatError(
             f"{csv_path}, {sidecar_path}: not an embedding ({exc})"

@@ -8,7 +8,8 @@ a in {0,1}^n, two estimators of its latent position are provided:
 * constrained maximum likelihood  w_ML = argmax of
   l(w) = sum_i a_i log(X-hat_i^T w) + (1 - a_i) log(1 - X-hat_i^T w)
   over the box T_eps = {w : eps <= X-hat_i^T w <= 1 - eps for all i},
-  solved by damped Newton ascent with a fraction-to-boundary rule.
+  solved by damped Newton ascent with a fraction-to-boundary rule in the
+  eigenvector frame v = S_A^{1/2} w, where X-hat w = U_A v.
 
 Edge values may also be fractional (in [0, 1]); the noiseless diagnostic
 path passes a = X w-bar directly and both estimators recover w-bar exactly.
@@ -35,7 +36,10 @@ class OosEstimate:
     w: np.ndarray
     method: str  # "LS" or "ML"
     iterations: int = 0
-    grad_norm: float = 0.0  # final projected-gradient norm (ML)
+    # final projected-gradient norm (ML), in the frame v = S^{1/2} w; an
+    # estimate with no active constraint lies within grad_norm / sqrt(lambda_d)
+    # of the maximizer (see ml_oos)
+    grad_norm: float = 0.0
     active_constraints: int = 0
     objective: float | None = None  # log-likelihood at w (ML only)
 
@@ -51,14 +55,12 @@ class OosEstimate:
 # eps * |objective|.
 ROUNDING_SLOPE = 10.0
 
-# The ML Newton ascent: it stops once the projected gradient is at most
-# TOL_PER_VERTEX * n, gives up after MAX_ITER iterations, falls back to the
-# gradient when the condition estimate of the Hessian on the free subspace
-# exceeds COND_LIMIT, and caps each step at BOUNDARY_FRACTION of the
-# distance to the nearest constraint.
+# The ML Newton ascent: it stops once the projected gradient in the frame
+# v = S^{1/2} w is at most TOL_PER_VERTEX * n, gives up after MAX_ITER
+# iterations, and caps each step at BOUNDARY_FRACTION of the distance to the
+# nearest constraint.
 TOL_PER_VERTEX = 1e-8
 MAX_ITER = 500
-COND_LIMIT = 1e12
 BOUNDARY_FRACTION = 0.95
 
 # A row i is active when X-hat_i^T w is within ACTIVE_TOL of eps or 1 - eps.
@@ -87,10 +89,6 @@ def _edge_values(a, n):
     return vec
 
 
-def _ls_position(emb, avec):
-    return (emb.eig.vectors.T @ avec) / np.sqrt(emb.eig.values)
-
-
 def lls_oos(emb, a):
     """Least-squares out-of-sample estimate, S_A^{-1/2} U_A^T a.
 
@@ -98,7 +96,8 @@ def lls_oos(emb, a):
     because X-hat^T X-hat = S_A exactly. Cost is one (n x d)-vector
     product — no n x n work.
     """
-    return OosEstimate(w=_ls_position(emb, _edge_values(a, emb.n)), method="LS")
+    u, avec = emb.eig.vectors, _edge_values(a, emb.n)
+    return OosEstimate(w=(u.T @ avec) / np.sqrt(emb.eig.values), method="LS")
 
 
 def _value(avec, bvec, p):
@@ -204,15 +203,20 @@ def ml_oos(emb, a, eps=0.05):
     """Constrained maximum-likelihood out-of-sample estimate.
 
     Maximizes the concave log-likelihood over the box
-    T_eps = {w : eps <= X-hat_i^T w <= 1 - eps} by damped Newton ascent,
-    from the least-squares estimate, shifted toward the box's deepest
-    (Chebyshev-style) interior point when it is infeasible. One rule picks
-    each step on the free subspace z, the null space of the active rows
-    (all of R^d in the interior):
+    T_eps = {w : eps <= X-hat_i^T w <= 1 - eps} by damped Newton ascent in
+    the eigenvector frame v = S_A^{1/2} w, where X-hat w = U_A v. It starts
+    from the least-squares estimate, v = U_A^T a, shifted toward the box's
+    deepest (Chebyshev-style) interior point when that is infeasible, and
+    returns w = v / sqrt(lambda).
 
-    * Newton on z when z^T H z is negative definite with a condition
-      estimate of at most COND_LIMIT, otherwise the gradient projected
-      onto z;
+    U_A has orthonormal columns, and on the likelihood's domain every
+    curvature weight c_i = a_i / p_i^2 + (1 - a_i) / (1 - p_i)^2 is at
+    least 1. So the Hessian H_v = -U_A^T diag(c) U_A is at most -I, and so
+    is z^T H_v z for every orthonormal z. One rule picks each step on the
+    free subspace z, the null space of the active rows (all of R^d in the
+    interior):
+
+    * Newton on z, which always exists;
     * on the boundary, when that step does not ascend or z is empty, the
       tangent-cone step grad + N lambda: the residual of a nonnegative
       least-squares fit of the gradient onto the active constraint
@@ -220,21 +224,24 @@ def ml_oos(emb, a, eps=0.05):
 
     Steps are capped at BOUNDARY_FRACTION of the distance to the nearest
     inactive constraint, then Armijo backtracking enforces ascent. The
-    ascent stops when the gradient norm (with active constraints, the
+    ascent stops when the gradient norm in v (with active constraints, the
     residual of that fit) is at most tol = TOL_PER_VERTEX * n. In the
     interior it also stops when the slope grad @ direction is at most
     ROUNDING_SLOPE units of rounding of the objective; the estimate then
     reports its gradient norm as it is, which may exceed tol.
 
+    The bound this gives: as H_v <= -I on T_eps, the objective is
+    1-strongly concave in v there, so a feasible v lies within |grad_v| of
+    the maximizer v* over T_eps. An estimate with no active constraint
+    therefore lies within grad_norm / sqrt(lambda_d) of w*, which is
+    tol / sqrt(lambda_d) when it stopped on the tolerance.
+
     Each iteration evaluates only what it reads: the gradient at the
-    current point; the Hessian, with the eigenvalues that check it is
-    negative semidefinite, only once the tolerance test has failed, so at
-    no returned point (the check runs before each step; no finite input
-    reaches it, as the curvature weights a_i / p_i^2 + (1 - a_i) /
-    (1 - p_i)^2 are >= 0); and in the line search the value alone. The
+    current point; the Hessian only once the tolerance test has failed, so
+    at no returned point; and in the line search the value alone. The
     active rows are looked for only when min p or max p lies within
     ACTIVE_TOL of the box, and the fraction-to-boundary scan runs only
-    when some |X-hat_i^T direction| is at least 1/1.25 of the box margin;
+    when some |U_i^T direction| is at least 1/1.25 of the box margin;
     below that it would return 1 exactly.
 
     The estimate may sit on the box, its active constraints counted in the
@@ -244,28 +251,28 @@ def ml_oos(emb, a, eps=0.05):
     600 estimates ended on the box at eps = 0.05, and none at eps = 0.02.
     """
     check_eps(eps)
-    x = emb.positions
-    n = x.shape[0]
+    u, root = emb.eig.vectors, np.sqrt(emb.eig.values)
+    n = u.shape[0]
     avec = _edge_values(a, n)
     bvec = 1.0 - avec
     tol = TOL_PER_VERTEX * n
     lo, hi = eps, 1.0 - eps
 
-    w = _ls_position(emb, avec)
-    p = x @ w
+    v = u.T @ avec
+    p = u @ v
     if _box_margin(p, lo, hi) <= 0.0:
-        w_int, max_margin = _chebyshev_point(x, lo, hi)
+        v_int, max_margin = _chebyshev_point(u, lo, hi)
         # walk from the LS point toward the interior point until safely inside
         target = 0.1 * max_margin
         t_lo, t_hi = 0.0, 1.0
         for _ in range(80):
             t = 0.5 * (t_lo + t_hi)
-            if _box_margin(x @ (w + t * (w_int - w)), lo, hi) >= target:
+            if _box_margin(u @ (v + t * (v_int - v)), lo, hi) >= target:
                 t_hi = t
             else:
                 t_lo = t
-        w = w + t_hi * (w_int - w)
-        p = x @ w
+        v = v + t_hi * (v_int - v)
+        p = u @ v
 
     # inside the box, so inside the likelihood's domain
     value, pmin, pmax = _value(avec, bvec, p)
@@ -274,7 +281,7 @@ def ml_oos(emb, a, eps=0.05):
     iterations = 0
 
     for iterations in range(1, MAX_ITER + 1):
-        grad = _gradient(x, avec, p)
+        grad = _gradient(u, avec, p)
 
         # stationarity: plain gradient norm in the interior, KKT residual
         # against active constraint normals on the boundary
@@ -286,61 +293,47 @@ def ml_oos(emb, a, eps=0.05):
             act_lo, act_hi = masks
             active = act_lo | act_hi
             n_active = int(act_lo.sum() + act_hi.sum())
-            normals = np.concatenate([x[act_lo], -x[act_hi]]).T  # d x m
+            normals = np.concatenate([u[act_lo], -u[act_hi]]).T  # d x m
             lam, pg_norm = scipy.optimize.nnls(normals, -grad)
         if pg_norm <= tol:
             break
 
-        hess = _hessian(x, avec, bvec, p)
-        eigs = np.linalg.eigvalsh(hess)
-        if eigs[-1] > 1e-8:
-            raise SolverError(
-                f"Hessian lost negative semidefiniteness (max eig {eigs[-1]:.3e})"
-            )
-
-        # Newton, or the gradient when that is ill conditioned, on the free
-        # subspace z: the null space of the active rows, all of R^d inside
+        # Newton on the free subspace z: the null space of the active rows,
+        # all of R^d inside, where z^T H z <= -I
+        hess = _hessian(u, avec, bvec, p)
         if n_active:
-            rows = np.concatenate([x[act_lo], x[act_hi]])
+            rows = np.concatenate([u[act_lo], u[act_hi]])
             _, sv, vt = np.linalg.svd(rows)
-            rank = int((sv > 1e-12 * sv[0]).sum())
-            z = vt[rank:].T
-            hz, gz = z.T @ hess @ z, z.T @ grad
-            ez = np.linalg.eigvalsh(hz)
-        else:
-            hz, gz, ez = hess, grad, eigs
-        if ez.size and ez[-1] < 0.0 and ez[0] / ez[-1] <= COND_LIMIT:
-            direction = np.linalg.solve(hz, -gz)
-        else:
-            direction = gz
-        if n_active:
-            direction = z @ direction
+            z = vt[int((sv > 1e-12 * sv[0]).sum()):].T
+            direction = z @ np.linalg.solve(z.T @ hess @ z, -(z.T @ grad))
             if not float(grad @ direction) > 0.0:
                 # no free direction, or none that ascends: the NNLS residual
                 # grad + N lambda projects the gradient onto the tangent
                 # cone, so it ascends and releases constraints as needed
                 direction = grad + normals @ lam
+        else:
+            direction = np.linalg.solve(hess, -grad)
         slope = float(grad @ direction)
         rounding = _ULP * abs(value)
         if not n_active and slope <= ROUNDING_SLOPE * rounding:
             # the step's predicted gain is within the rounding of the
             # objective, so Armijo can no longer tell ascent from noise and
-            # would only creep: w is a maximizer to working precision
+            # would only creep: v is a maximizer to working precision
             break
         if slope <= 0.0:  # numerically possible only at (near-)stationarity
             raise NonConvergenceError(
                 "search direction is not an ascent direction",
-                last_w=w, iterations=iterations, grad_norm=pg_norm,
+                last_w=v / root, iterations=iterations, grad_norm=pg_norm,
             )
 
         # fraction-to-boundary cap: largest alpha keeping p strictly inside.
         # Active rows are excluded — along-face directions change them only
         # by rounding, which the output's 1e-9 feasibility slack absorbs.
-        alpha = _step_cap(x @ direction, p, pmin, pmax, lo, hi, active)
+        alpha = _step_cap(u @ direction, p, pmin, pmax, lo, hi, active)
 
         while alpha > 1e-18:
-            w_try = w + alpha * direction
-            p_try = x @ w_try
+            v_try = v + alpha * direction
+            p_try = u @ v_try
             at_try = _value(avec, bvec, p_try)
             if at_try[0] >= value + 1e-4 * alpha * slope:
                 break
@@ -348,21 +341,21 @@ def ml_oos(emb, a, eps=0.05):
         else:
             raise NonConvergenceError(
                 "line search stalled before reaching stationarity",
-                last_w=w, iterations=iterations, grad_norm=pg_norm,
+                last_w=v / root, iterations=iterations, grad_norm=pg_norm,
             )
-        w, p = w_try, p_try
+        v, p = v_try, p_try
         value, pmin, pmax = at_try
     else:
         raise NonConvergenceError(
             f"no convergence in {MAX_ITER} iterations "
             f"(projected gradient {pg_norm:.3e}, tol {tol:.3e})",
-            last_w=w, iterations=MAX_ITER, grad_norm=float(pg_norm),
+            last_w=v / root, iterations=MAX_ITER, grad_norm=float(pg_norm),
         )
 
     if value < init_value:
         raise SolverError("ascent ended below its starting objective")
     return OosEstimate(
-        w=w,
+        w=v / root,
         method="ML",
         iterations=iterations,
         grad_norm=float(pg_norm),

@@ -104,7 +104,7 @@ def test_criterion_4_closed_form_equals_iterative():
         basis, _ = np.linalg.qr(rng.standard_normal((n, d)))
         values = np.sort(rng.uniform(0.2, 1.0, d) * n)[::-1]
         eig = EigenPairs(values=values, vectors=basis)
-        emb = Embedding(positions=basis * np.sqrt(values), eig=eig)
+        emb = Embedding(eig=eig)
         avec = rng.integers(0, 2, n).astype(float)
         w_closed = lls_oos(emb, avec).w
         w_iter = lstsq(emb.positions, avec)

@@ -81,14 +81,13 @@ def test_degenerate_spectrum_raises():
 
 
 def test_embedding_invariants_reject_nan():
-    eig = EigenPairs(values=np.array([4.0, 1.0]), vectors=np.eye(3)[:, :2])
-    positions = eig.vectors * np.sqrt(eig.values)
-    positions[1, 1] = np.nan
-    with pytest.raises(ConfigError, match="U \\* sqrt\\(S\\)"):
-        Embedding(positions=positions, eig=eig)
+    vectors = np.eye(3)[:, :2]
+    vectors[1, 1] = np.nan
+    with pytest.raises(ConfigError, match="not orthonormal"):
+        Embedding(eig=EigenPairs(values=np.array([4.0, 1.0]), vectors=vectors))
     nan_eig = EigenPairs(values=np.array([np.nan]), vectors=np.eye(3)[:, :1])
     with pytest.raises(DegenerateSpectrumError, match="strictly positive"):
-        Embedding(positions=np.zeros((3, 1)), eig=nan_eig)
+        Embedding(eig=nan_eig)
 
 
 def test_dimension_out_of_range():
