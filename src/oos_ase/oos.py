@@ -41,7 +41,10 @@ class OosEstimate:
     # of the maximizer (see ml_oos)
     grad_norm: float = 0.0
     active_constraints: int = 0
-    objective: float | None = None  # log-likelihood at w (ML only)
+    # log-likelihood at w (ML only). It and grad_norm are evaluated at
+    # p = U v, which equals X-hat w only up to rounding, so likelihood() at
+    # the returned w may differ from them in the last digits.
+    objective: float | None = None
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
@@ -55,10 +58,10 @@ class OosEstimate:
 # eps * |objective|.
 ROUNDING_SLOPE = 10.0
 
-# The ML Newton ascent: it stops once the projected gradient in the frame
-# v = S^{1/2} w is at most TOL_PER_VERTEX * n, gives up after MAX_ITER
-# iterations, and caps each step at BOUNDARY_FRACTION of the distance to the
-# nearest constraint.
+# The ML Newton ascent: it stops once the projected gradient is at most
+# TOL_PER_VERTEX * n both in the frame v = S^{1/2} w and in w, gives up
+# after MAX_ITER iterations, and caps each step at BOUNDARY_FRACTION of the
+# distance to the nearest constraint.
 TOL_PER_VERTEX = 1e-8
 MAX_ITER = 500
 BOUNDARY_FRACTION = 0.95
@@ -224,17 +227,21 @@ def ml_oos(emb, a, eps=0.05):
 
     Steps are capped at BOUNDARY_FRACTION of the distance to the nearest
     inactive constraint, then Armijo backtracking enforces ascent. The
-    ascent stops when the gradient norm in v (with active constraints, the
-    residual of that fit) is at most tol = TOL_PER_VERTEX * n. In the
-    interior it also stops when the slope grad @ direction is at most
+    ascent stops when the gradient in v (with active constraints, the
+    residual r of that fit) has norm at most tol = TOL_PER_VERTEX * n, and
+    so does sqrt(lambda) * r, the same residual read in w. In the interior
+    it also stops when the slope grad @ direction is at most
     ROUNDING_SLOPE units of rounding of the objective; the estimate then
     reports its gradient norm as it is, which may exceed tol.
 
-    The bound this gives: as H_v <= -I on T_eps, the objective is
-    1-strongly concave in v there, so a feasible v lies within |grad_v| of
-    the maximizer v* over T_eps. An estimate with no active constraint
-    therefore lies within grad_norm / sqrt(lambda_d) of w*, which is
-    tol / sqrt(lambda_d) when it stopped on the tolerance.
+    The bounds this gives: as H_v <= -I on T_eps, the objective is
+    1-strongly concave in v there, and H_w = S^{1/2} H_v S^{1/2} <= -S
+    makes it lambda_d-strongly concave in w. So a feasible point lies
+    within |grad_v| of the maximizer v* over T_eps, and within
+    |grad_w| / lambda_d of w*. An interior estimate that stopped on the
+    tolerance therefore lies within tol / max(sqrt(lambda_d), lambda_d)
+    of w*: the test in v settles weak axes (lambda_j < 1), the test in w
+    strong ones.
 
     Each iteration evaluates only what it reads: the gradient at the
     current point; the Hessian only once the tolerance test has failed, so
@@ -288,14 +295,17 @@ def ml_oos(emb, a, eps=0.05):
         masks = _active_rows(p, pmin, pmax, lo, hi)
         if masks is None:
             n_active, active = 0, False
-            pg_norm = float(np.linalg.norm(grad))
+            resid = grad
         else:
             act_lo, act_hi = masks
             active = act_lo | act_hi
             n_active = int(act_lo.sum() + act_hi.sum())
             normals = np.concatenate([u[act_lo], -u[act_hi]]).T  # d x m
-            lam, pg_norm = scipy.optimize.nnls(normals, -grad)
-        if pg_norm <= tol:
+            lam, _ = scipy.optimize.nnls(normals, -grad)
+            resid = grad + normals @ lam
+        # the residual in w is root * resid: within tol in both frames
+        pg_norm = float(np.linalg.norm(resid))
+        if pg_norm <= tol and np.linalg.norm(root * resid) <= tol:
             break
 
         # Newton on the free subspace z: the null space of the active rows,
@@ -310,7 +320,7 @@ def ml_oos(emb, a, eps=0.05):
                 # no free direction, or none that ascends: the NNLS residual
                 # grad + N lambda projects the gradient onto the tangent
                 # cone, so it ascends and releases constraints as needed
-                direction = grad + normals @ lam
+                direction = resid
         else:
             direction = np.linalg.solve(hess, -grad)
         slope = float(grad @ direction)
