@@ -53,7 +53,7 @@ def embed_matrix(m, d):
     noiseless inputs (the edge-probability matrix P = X X^T itself) can be
     embedded in tests and diagnostics without manufacturing a graph. Like
     `top_eigs`, it reads only the lower triangle of m; the strict upper
-    part may hold anything finite.
+    part is never read.
     """
     m = np.asarray(m, dtype=float)
     n = m.shape[0]

@@ -105,12 +105,19 @@ def test_top_eigs_lanczos_matches_dense_oracle(n, eigsh_calls):
 
 @pytest.mark.parametrize("n", [60, 255, 300, 1000])
 def test_top_eigs_reads_only_the_lower_triangle(n, eigsh_calls):
-    # ase hands top_eigs an array whose upper part is zero
+    # ase hands top_eigs an array whose upper part is zero; the strict
+    # upper part is neither read nor checked, so even non-finite entries
+    # there leave the pairs as they are
     m = sample_adjacency(sample_latents(MIX, n, seed=n), seed=n + 1).to_dense()
-    full, lower = top_eigs(m, 2), top_eigs(np.tril(m), 2)
-    assert len(eigsh_calls) == (2 if n >= LANCZOS_MIN_ORDER else 0)
-    assert np.array_equal(lower.values, full.values)
-    assert np.array_equal(lower.vectors, full.vectors)
+    full = top_eigs(m, 2)
+    upper = np.triu_indices(n, 1)
+    for fill in (0.0, np.nan, np.inf, -np.inf):
+        lower = m.copy()
+        lower[upper] = fill
+        pairs = top_eigs(lower, 2)
+        assert np.array_equal(pairs.values, full.values)
+        assert np.array_equal(pairs.vectors, full.vectors)
+    assert len(eigsh_calls) == (5 if n >= LANCZOS_MIN_ORDER else 0)
 
 
 def test_top_eigs_lanczos_balanced_two_block_noiseless(eigsh_calls):
@@ -172,6 +179,20 @@ def test_top_eigs_rejects_nonfinite_in_any_row(bad, row):
     # the check walks the rows in blocks; the last row is in a short one
     m = np.eye(300)
     m[row, row - 1] = m[row - 1, row] = bad
+    with pytest.raises(ConfigError, match="non-finite"):
+        top_eigs(m, 1)
+
+
+@pytest.mark.parametrize("n, row, col", [
+    (60, 0, 0), (60, 59, 59), (60, 59, 0),
+    (300, 63, 62), (300, 64, 64), (300, 299, 299), (300, 299, 0),
+])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_top_eigs_checks_the_lower_triangle_up_to_the_diagonal(bad, n, row, col):
+    # the check reads each 64-row block up to its diagonal: the entries on
+    # and just below it, in a block's first and last rows, still count
+    m = np.eye(n)
+    m[row, col] = bad
     with pytest.raises(ConfigError, match="non-finite"):
         top_eigs(m, 1)
 

@@ -1,3 +1,5 @@
+import errno
+import mmap
 import tracemalloc
 
 import numpy as np
@@ -12,13 +14,16 @@ from oos_ase import (
     EdgeVector,
     LatentDistribution,
     ModelViolationError,
+    ase,
     augment,
+    embed_matrix,
     sample_adjacency,
     sample_latents,
     sample_oos_edges,
+    top_eigs,
 )
 
-from dense import from_dense
+from dense import from_dense, lower_from_edges
 
 MIX = LatentDistribution(2, [((0.2, 0.7), 0.4), ((0.65, 0.3), 0.6)])
 
@@ -360,3 +365,62 @@ def test_dense_fills_from_the_packed_bits(n):
         assert np.array_equal(lower, want)
         want[upper] = bits
         assert np.array_equal(a.to_dense(), want)
+
+
+@pytest.mark.parametrize("n", [2048, 2049])
+def test_dense_fill_on_both_sides_of_the_mapped_size(n):
+    # n = 2048 is the last order whose operand comes from np.zeros and
+    # 2049 the first that is mapped with a page policy
+    a = sample_adjacency(sample_latents(MIX, n, seed=n), seed=n + 1)
+    want = lower_from_edges(a)
+    lower = a._lower_dense()
+    assert lower.dtype == np.float64 and lower.flags.c_contiguous
+    assert np.array_equal(lower, want)
+    emb, ref = ase(a, 2), embed_matrix(want, 2)
+    assert np.array_equal(emb.eig.values, ref.eig.values)
+    assert np.array_equal(emb.eig.vectors, ref.eig.vectors)
+
+
+needs_page_advice = pytest.mark.skipif(
+    not hasattr(mmap, "MADV_NOHUGEPAGE"),
+    reason="the dense operand is mapped only where mmap can advise pages",
+)
+
+
+def _resident_bytes():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * mmap.PAGESIZE
+
+
+@needs_page_advice
+def test_large_dense_fill_leaves_most_of_the_upper_triangle_unfaulted():
+    # np.zeros made all 8 n^2 bytes resident, on huge pages that span
+    # many rows; the mapped operand faults in about 0.8 of them
+    n = 3000
+    a = sample_adjacency(sample_latents(MIX, n, seed=3), seed=4)
+    before = _resident_bytes()
+    lower = a._lower_dense()
+    top_eigs(lower, 2)
+    added = _resident_bytes() - before
+    assert added <= 0.9 * lower.nbytes, f"{added / lower.nbytes:.2f} x 8 n^2"
+
+
+@needs_page_advice
+def test_a_failed_map_raises_memory_error(monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+    n = 2049
+    a = AdjacencyMatrix(n, np.zeros(n * (n - 1) // 2, dtype=bool))
+    monkeypatch.setattr(mmap, "mmap", no_memory)
+    with pytest.raises(MemoryError):
+        a._lower_dense()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 100])
+def test_repr_counts_the_edges(n):
+    graphs = [AdjacencyMatrix(n, np.ones(n * (n - 1) // 2, dtype=bool))]
+    graphs += [sample_adjacency(sample_latents(MIX, n, seed=s), seed=s + 10)
+               for s in range(4)]
+    for a in graphs:
+        assert repr(a) == f"AdjacencyMatrix(n={n}, edges={len(a.edges())})"
