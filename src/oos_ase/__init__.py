@@ -34,7 +34,6 @@ from .model import (
     EdgeVector,
     LatentDistribution,
     LatentMatrix,
-    augment,
     sample_adjacency,
     sample_latents,
     sample_oos_edges,
@@ -79,7 +78,6 @@ __all__ = [
     "TrialRecord",
     "aligned_error",
     "ase",
-    "augment",
     "chi2_quantile",
     "classify_error",
     "classify_threshold",

@@ -1,4 +1,5 @@
-"""File formats. Everything round-trips byte-identically: floats are
+"""File formats. Every format with a reader round-trips byte-identically,
+and the study outputs, which have none, rerun byte-identically: floats are
 written with 17 significant digits (exact for IEEE doubles), rows are
 ordered deterministically, and JSON is dumped with sorted keys.
 """
@@ -12,7 +13,6 @@ import numpy as np
 
 from .embedding import Embedding
 from .errors import ConfigError, FileFormatError
-from .experiments import TrialRecord
 from .linalg import SIGN_CONVENTION, EigenPairs
 from .model import AdjacencyMatrix, EdgeVector, LatentDistribution
 
@@ -412,45 +412,6 @@ def write_trials_csv(records, d, path):
             row += _vec_fields(r.rotation, d * d)
             row.append(r.message)
             writer.writerow(row)
-
-
-def read_trials_csv(path, d):
-    records = []
-    with _text_file(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "trial":
-            raise FileFormatError(f"{path}: missing trials header")
-        width = 6 + 2 * d + d * d
-        for row in reader:
-            if len(row) != width:
-                raise FileFormatError(
-                    f"{path}:{reader.line_num}: expected {width} fields, "
-                    f"got {len(row)}"
-                )
-            trial, n, method, status, err = row[:5]
-            off = 5
-            wbar = row[off:off + d]
-            w = row[off + d:off + 2 * d]
-            rot = row[off + 2 * d:off + 2 * d + d * d]
-            message = row[off + 2 * d + d * d]
-            ok = status == "ok"
-            try:
-                records.append(TrialRecord(
-                    trial=int(trial),
-                    n=int(n),
-                    method=method,
-                    status=status,
-                    wbar=np.asarray([float(v) for v in wbar]) if ok else None,
-                    w=np.asarray([float(v) for v in w]) if ok else None,
-                    rotation=np.asarray([float(v) for v in rot]).reshape(d, d)
-                    if ok else None,
-                    aligned_error=float(err) if err else None,
-                    message=message,
-                ))
-            except ValueError:
-                raise FileFormatError(f"{path}:{reader.line_num}: bad trial row")
-    return records
 
 
 def write_summary_json(summary, path):

@@ -11,14 +11,15 @@ n / LANCZOS_ORDER_PER_K, the pairs come from implicitly restarted Lanczos
 matrix-vector products. With BLAS on one thread, on adjacency matrices of
 the mixture_2d preset and k = 2, Lanczos took 1.9 ms against 0.6 ms for
 `eigh` at n = 100, the two tied at n = 200, and Lanczos won from n = 256
-(1.5 ms against 2.5 ms); at n = 1000 it took 10 ms against 84 ms, at
-n = 4000 0.12 s against 5.5 s. One thread is the setting of the
-rate-sweep benchmark, whose smallest graphs have n = 100. Lanczos slows
-down when it must resolve eigenvalues inside the noise bulk, so it only
-pays while k is small against n: asking a rank-2 graph for k = 15 at
-n = 1000 took as long as `eigh` (89 ms). Everything else, and any ARPACK
-failure, takes the dense path, which also serves as the oracle in the
-tests.
+(1.5 ms against 2.5 ms); at n = 1000 it took 9-11 ms against 77 ms, at
+n = 4000 57-83 ms against 5.1 s (`_lanczos_top` against the dense path's
+`eigh`, min of 5 calls, four runs on a shared 2-vCPU VM). One thread is
+the setting of the rate-sweep benchmark, whose smallest graphs have
+n = 100. Lanczos slows down when it must resolve eigenvalues inside the
+noise bulk, so it only pays while k is small against n: asking a rank-2
+graph for k = 15 at n = 1000 took as long as `eigh` (89 ms). Everything
+else, and any ARPACK failure, takes the dense path, which also serves as
+the oracle in the tests.
 """
 
 from dataclasses import dataclass

@@ -406,19 +406,3 @@ def sample_oos_edges(x, wbar, seed):
     _check_probabilities(probs, "out-of-sample edge")
     rng = as_generator(seed)
     return EdgeVector(a=rng.random(rows.shape[0]) < probs)
-
-
-def augment(a, e):
-    """Border A with the edge vector: the (n+1)-vertex graph whose last
-    vertex is the (now in-sample) out-of-sample vertex."""
-    if not isinstance(a, AdjacencyMatrix):
-        raise ConfigError("augment expects an AdjacencyMatrix")
-    evec = (e if isinstance(e, EdgeVector) else EdgeVector(a=e)).a
-    if evec.shape != (a.n,):
-        raise ConfigError(
-            f"edge vector length {evec.shape} does not match order {a.n}"
-        )
-    new = np.flatnonzero(evec)
-    border = np.column_stack((new, np.full_like(new, a.n)))
-    pairs = np.concatenate((a.edges(), border))
-    return AdjacencyMatrix.from_edges(a.n + 1, pairs)

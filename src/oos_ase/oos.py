@@ -283,7 +283,6 @@ def ml_oos(emb, a, eps=0.05):
 
     # inside the box, so inside the likelihood's domain
     value, pmin, pmax = _value(avec, bvec, p)
-    init_value = value
     n_active = 0
     iterations = 0
 
@@ -362,8 +361,7 @@ def ml_oos(emb, a, eps=0.05):
             last_w=v / root, iterations=MAX_ITER, grad_norm=float(pg_norm),
         )
 
-    if value < init_value:
-        raise SolverError("ascent ended below its starting objective")
+    # Armijo accepts no step that lowers value or is NaN: value >= its start
     return OosEstimate(
         w=v / root,
         method="ML",

@@ -17,6 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
+import oos_ase.oos as oos
 from oos_ase import io
 from oos_ase.cli import main
 from oos_ase.embedding import ase
@@ -349,6 +350,9 @@ def test_distribution_read_errors(tmp_path):
 
 
 def test_trials_csv_round_trip(tmp_path):
+    """Records to the exact bytes of trials.csv: the header, 17 significant
+    digits per float, empty fields for what a failed record lacks, and its
+    message quoted where it holds a comma."""
     records = [
         TrialRecord(
             trial=0, n=50, method="LS", status="ok",
@@ -361,32 +365,15 @@ def test_trials_csv_round_trip(tmp_path):
             message="did not converge, iteration limit",
         ),
     ]
-    p1, p2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
-    io.write_trials_csv(records, 2, p1)
-    back = io.read_trials_csv(p1, 2)
-    assert len(back) == 2
-    ok, failed = back
-    assert ok.trial == 0 and ok.status == "ok"
-    assert np.array_equal(ok.wbar, records[0].wbar)
-    assert np.array_equal(ok.w, records[0].w)
-    assert np.array_equal(ok.rotation, np.eye(2))
-    assert ok.aligned_error == 0.4375
-    assert failed.status == "failed" and failed.w is None
-    assert failed.message == "did not converge, iteration limit"
-    io.write_trials_csv(back, 2, p2)
-    assert p1.read_bytes() == p2.read_bytes()
-
-    p1.write_text("nope\n")
-    with pytest.raises(FileFormatError, match="missing trials header"):
-        io.read_trials_csv(p1, 2)
-
-    header, first_row = p2.read_text().splitlines()[:2]
-    p1.write_text(f"{header}\n0,50\n")
-    with pytest.raises(FileFormatError, match=r":2: expected 14 fields, got 2"):
-        io.read_trials_csv(p1, 2)
-    p1.write_text(f"{header}\n{first_row.replace('0.25', 'x', 1)}\n")
-    with pytest.raises(FileFormatError, match=":2: bad trial row"):
-        io.read_trials_csv(p1, 2)
+    path = tmp_path / "trials.csv"
+    io.write_trials_csv(records, 2, path)
+    assert path.read_bytes() == (
+        b"trial,n,method,status,aligned_error,wbar_0,wbar_1,w_0,w_1,"
+        b"rot_00,rot_01,rot_10,rot_11,message\n"
+        b"0,50,LS,ok,0.4375,0.20000000000000001,0.69999999999999996,"
+        b"0.25,0.68000000000000005,1,0,0,1,\n"
+        b'1,50,ML,failed,,,,,,,,,,"did not converge, iteration limit"\n'
+    )
 
 
 def _bytes_with_ff(text, at):
@@ -401,10 +388,9 @@ def _bytes_with_ff(text, at):
     (io.read_edge_list, "oos-ase graph n=3\nx\n1 2", 22, FileFormatError),
     (io.read_matrix_csv, "1.0,2.0\n3.0,4.0\n", 9, FileFormatError),
     (io.read_edge_vector, "0\n1\n", 2, FileFormatError),
-    (lambda p: io.read_trials_csv(p, 2), "trial,n\n", 3, FileFormatError),
     (io.read_distribution, '{"dimension": 1}', 3, ConfigError),
 ], ids=["edge_list_header", "edge_list_body", "edge_list_after_bad_line",
-        "matrix_csv", "edge_vector", "trials_csv", "distribution"])
+        "matrix_csv", "edge_vector", "distribution"])
 def test_readers_reject_undecodable_bytes(tmp_path, reader, text, at, error):
     path = tmp_path / "f"
     path.write_bytes(_bytes_with_ff(text, at))
@@ -763,6 +749,31 @@ def test_cli_infeasible_box_exit_4(tmp_path, capsys):
     diag = json.loads(capsys.readouterr().err)
     assert diag["error"] == "FeasibilityError"
     assert "empty" in diag["message"]
+
+
+def test_cli_solver_failure_reports_last_iterate(tmp_path, capsys,
+                                                 monkeypatch):
+    """A solver that stops short exits 4 with one JSON line on stderr that
+    carries its last iterate, iteration count and gradient norm."""
+    spec = _write_mix_spec(tmp_path)
+    out = tmp_path / "run"
+    assert main(["sample", "--spec", spec, "--n", "300", "--seed", "0",
+                 "--out", str(out)]) == 0
+    prefix = str(out / "emb")
+    assert main(["embed", "--graph", str(out / "graph.txt"), "--dim", "2",
+                 "--out", prefix]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(oos, "MAX_ITER", 1)
+    rc = main(["oos", "--embedding", prefix, "--edges",
+               str(out / "oos_edges.csv"), "--method", "ml"])
+    assert rc == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    diag = json.loads(lines[0])
+    assert diag["error"] == "NonConvergenceError"
+    assert len(diag["last_w"]) == 2 and np.all(np.isfinite(diag["last_w"]))
+    assert diag["iterations"] == 1
+    assert np.isfinite(diag["grad_norm"])
 
 
 def test_cli_experiment_ratio_matches_theory(tmp_path, capsys):

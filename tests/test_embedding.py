@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from oos_ase import (
+    AdjacencyMatrix,
     ConfigError,
     EigenPairs,
     Embedding,
     LatentDistribution,
     ase,
-    augment,
     embed_matrix,
     procrustes,
     sample_adjacency,
@@ -138,8 +138,13 @@ def test_augmented_embedding_stays_close_to_original():
     x = sample_latents(MIX, 500, seed=58)
     a = sample_adjacency(x, seed=59)
     e = sample_oos_edges(x, MIX.points[0], seed=60)
+    # the bordered graph: vertex 500 joined to each vertex e marks
+    new = np.flatnonzero(e.a)
+    border = np.column_stack((new, np.full_like(new, 500)))
+    bordered = AdjacencyMatrix.from_edges(
+        501, np.concatenate((a.edges(), border)))
     emb = ase(a, 2)
-    emb_big = ase(augment(a, e), 2)
+    emb_big = ase(bordered, 2)
     res = procrustes(emb_big.positions[:500], emb.positions)
     rows = np.linalg.norm(
         emb_big.positions[:500] @ res.rotation - emb.positions, axis=1

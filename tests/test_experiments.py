@@ -49,8 +49,12 @@ def test_config_validation(monkeypatch):
         ExperimentConfig(study="rate_sweep", dist=MIX, n_grid=(50, 100, 200))
     with pytest.raises(ConfigError, match="trials"):
         ExperimentConfig(study="clt_ls", dist=MIX, n_grid=(50,), trials=0)
+    with pytest.raises(ConfigError, match="workers must be >= 1"):
+        ExperimentConfig(study="clt_ls", dist=MIX, n_grid=(50,), workers=0)
     with pytest.raises(ConfigError, match="ClassifySpec"):
         ExperimentConfig(study="error_ratio", n_grid=(100,))
+    with pytest.raises(ConfigError, match="error_ratio study needs n_grid"):
+        ExperimentConfig(study="error_ratio", spec=SPEC)
     with pytest.raises(ConfigError, match="LatentDistribution"):
         ExperimentConfig(study="clt_ls", n_grid=(50,))
     for m_grid in ((0,), (-5,), (1, 0, 2)):

@@ -56,7 +56,6 @@ READERS = {
     "read_embedding_csv": (_read_embedding_csv, Embedding),
     "read_embedding_sidecar": (_read_embedding_sidecar, Embedding),
     "read_distribution": (io.read_distribution, LatentDistribution),
-    "read_trials_csv": (lambda p: io.read_trials_csv(p, 2), list),
 }
 
 

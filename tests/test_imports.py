@@ -1,16 +1,20 @@
-"""Every name a library module imports is used in it.
+"""Every name a library module imports is used in it, every public function
+it defines has a caller in the program, and every name the benchmark traces
+exists.
 
 No linter runs over this repository, so this is what stops a deletion from
-leaving an orphan import behind. `__init__.py` is skipped: its imports are
-the package's re-exports.
+leaving an orphan import behind, and a test from being a function's only
+user. `__init__.py` is skipped: its imports are the package's re-exports.
 """
 
 import ast
+import importlib
 import os
 
 import pytest
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "oos_ase")
+SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "spans.py")
 MODULES = sorted(f for f in os.listdir(SRC)
                  if f.endswith(".py") and f != "__init__.py")
 
@@ -55,3 +59,75 @@ def test_unused_imports_are_found():
 def test_no_unused_imports(module):
     with open(os.path.join(SRC, module)) as fh:
         assert unused_imports(fh.read()) == []
+
+
+# Public functions no program code calls, each kept for a stated reason.
+UNCALLED = {
+    "oos.likelihood": "criterion 8's derivative oracle",
+    "linalg.lstsq": "criterion 4's generic solver",
+    "linalg.EigenPairs.residuals": "the acceptance suite's eigenpair check",
+    "model.AdjacencyMatrix.to_dense": "traced by bench/spans.py",
+}
+
+
+def uncalled_functions(sources):
+    """Qualified names of the public module-level functions and public
+    methods in sources ({module: source}) that no Name or Attribute in any
+    of the sources refers to, outside the function's own body."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    refs = [(node.id if isinstance(node, ast.Name) else node.attr, id(node))
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    found = []
+    for module, tree in trees.items():
+        defs = [(module, node) for node in tree.body]
+        defs += [(f"{module}.{node.name}", item) for node in tree.body
+                 if isinstance(node, ast.ClassDef) for item in node.body]
+        for owner, node in defs:
+            if not isinstance(node, ast.FunctionDef) or node.name[0] == "_":
+                continue
+            own = {id(inner) for inner in ast.walk(node)}
+            if not any(name == node.name and ref not in own
+                       for name, ref in refs):
+                found.append(f"{owner}.{node.name}")
+    return sorted(found)
+
+
+def test_uncalled_functions_are_found():
+    sources = {
+        "a": ("def used():\n    return 1\n"
+              "def recursive(k):\n    return recursive(k - 1)\n"
+              "def _private():\n    pass\n"
+              "class C:\n"
+              "    def __init__(self):\n        self.m()\n"
+              "    def m(self):\n        pass\n"
+              "    def orphan(self):\n        pass\n"),
+        "b": "from .a import used\nused()\n",
+    }
+    assert uncalled_functions(sources) == ["a.C.orphan", "a.recursive"]
+
+
+def test_every_public_function_has_a_program_caller():
+    sources = {}
+    for module in MODULES:
+        with open(os.path.join(SRC, module)) as fh:
+            sources[module[:-3]] = fh.read()
+    assert uncalled_functions(sources) == sorted(UNCALLED)
+
+
+@pytest.mark.skipif(not os.path.exists(SPANS), reason="no bench/ checkout")
+def test_traced_names_exist():
+    """Each (owner, attribute) of bench/spans.py TARGETS resolves on the
+    library: the tracer looks every one up by name when it installs."""
+    with open(SPANS) as fh:
+        tree = ast.parse(fh.read())
+    targets = next(node.value for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [_dotted(t) for t in node.targets] == ["TARGETS"])
+    assert targets.elts
+    for entry in targets.elts:
+        module, *path = _dotted(entry.elts[0]).split(".")
+        owner = importlib.import_module(f"oos_ase.{module}")
+        for part in path:
+            owner = getattr(owner, part)
+        assert hasattr(owner, entry.elts[1].value), ast.unparse(entry)

@@ -15,7 +15,6 @@ from oos_ase import (
     LatentDistribution,
     ModelViolationError,
     ase,
-    augment,
     embed_matrix,
     sample_adjacency,
     sample_latents,
@@ -207,49 +206,6 @@ def test_oos_edges_store_the_bits_of_the_bernoulli_draw():
     draw = model.as_generator(45).random(300) < x.rows @ MIX.points[0]
     assert e.a.dtype == np.uint8
     assert np.array_equal(e.a, draw.astype(np.uint8))
-
-
-def test_augment_places_edge_vector_in_last_row_and_column():
-    x = sample_latents(MIX, 30, seed=41)
-    a = sample_adjacency(x, seed=42)
-    e = sample_oos_edges(x, MIX.points[1], seed=43)
-    big = augment(a, e)
-    dense = big.to_dense()
-    assert big.n == a.n + 1
-    assert np.array_equal(dense[:30, :30], a.to_dense())
-    assert np.array_equal(dense[30, :30], e.a)
-    assert np.array_equal(dense[:30, 30], e.a)
-    assert dense[30, 30] == 0
-    assert big.triu_bits().sum() == a.triu_bits().sum() + e.a.sum()
-
-
-def test_augment_matches_dense_bordering_small():
-    a = from_dense(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]))
-    big = augment(a, np.array([1, 0, 1]))
-    want = np.array(
-        [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]], dtype=float
-    )
-    assert np.array_equal(big.to_dense(), want)
-
-
-def test_augment_length_check():
-    a = AdjacencyMatrix(2, np.array([1], dtype=np.uint8))
-    with pytest.raises(ConfigError, match="length"):
-        augment(a, np.array([1, 0, 1]))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 100_000), st.integers(2, 25))
-def test_augment_agrees_with_dense_bordering_property(seed, n):
-    rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, size=n * (n - 1) // 2).astype(np.uint8)
-    evec = rng.integers(0, 2, size=n).astype(np.uint8)
-    a = AdjacencyMatrix(n, bits)
-    dense = np.zeros((n + 1, n + 1))
-    dense[:n, :n] = a.to_dense()
-    dense[n, :n] = evec
-    dense[:n, n] = evec
-    assert augment(a, evec) == from_dense(dense)
 
 
 @settings(max_examples=30, deadline=None)
