@@ -254,9 +254,10 @@ def _token_values(block, end, width, plain):
 
 def write_matrix_csv(m, path):
     m = np.atleast_2d(np.asarray(m, dtype=float))
+    # one format call for the whole file; each field as fmt writes it
+    row = ",".join(["{:.17g}"] * m.shape[1]) + "\n"
     with open(path, "w") as fh:
-        for row in m:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        fh.write((row * m.shape[0]).format(*m.ravel().tolist()))
 
 
 def read_matrix_csv(path):

@@ -19,7 +19,9 @@ n = 100. Lanczos slows down when it must resolve eigenvalues inside the
 noise bulk, so it only pays while k is small against n: asking a rank-2
 graph for k = 15 at n = 1000 took as long as `eigh` (89 ms). Everything
 else, and any ARPACK failure, takes the dense path, which also serves as
-the oracle in the tests.
+the oracle in the tests. Before either runs, one more `dsymv`, of the
+matrix against a constant probe vector, checks that the triangle both
+paths read is finite (see _PROBE).
 """
 
 from dataclasses import dataclass
@@ -36,17 +38,14 @@ from .errors import ConfigError, SingularityError
 LANCZOS_MIN_ORDER = 256
 LANCZOS_ORDER_PER_K = 64
 
-# top_eigs checks the finiteness of the lower triangle this many rows at a
-# time, each block up to its diagonal, in one 64 x n bool buffer, not an
-# n x n temporary. Measured on a 2-vCPU VM (min of 40, every page of the
-# matrix resident): at n = 3000 it took 2.8-3.6 ms against 4.0-4.6 ms for
-# whole rows in the same blocks, 3.3-4.1 ms for one n x n `np.isfinite`
-# and 5.0-5.4 ms for `min` and `max`; at n = 1600, 1.0-1.2 ms against
-# 0.9-1.0, 0.9-1.0 and 1.4-1.5 ms. Blocks of 32 or 128 rows were no
-# faster. On a fresh operand of `ase`, whose upper triangle is mostly
-# unmapped, it took 3.3 ms at n = 3000 and 7.5 ms at n = 4000, against
-# 7.3 and 16.3 ms for whole rows, which fault that part in.
-_FINITE_CHECK_ROWS = 64
+# top_eigs checks finiteness with one product A p, every entry of p _PROBE.
+# Any NaN or +-inf entry makes it non-finite, since p is nonzero. No finite
+# entry can make it overflow: a row sums n terms of at most DBL_MAX * 2^-32,
+# and n is far below 2^32 for any n x n array that fits in memory. A smaller
+# probe, such as 2^-1000, makes the products of entries below 2^-22
+# subnormal: at n = 2000 on a 2-vCPU x86 VM, entries of 1e-10 made the
+# product 65-80 times slower.
+_PROBE = 2.0 ** -32
 
 # Columns are flipped so the largest-magnitude entry of each eigenvector is
 # positive (ties broken by lowest index). Any orthogonal transform of the
@@ -98,40 +97,20 @@ class EigenPairs:
         return np.linalg.norm(r, axis=0)
 
 
-def _lower_is_finite(m):
-    """Whether the lower triangle of the square m, diagonal included, is
-    finite. Reads _FINITE_CHECK_ROWS rows at a time, up to the diagonal."""
-    n = m.shape[0]
-    rows = min(n, _FINITE_CHECK_ROWS)
-    above = ~np.tri(rows, dtype=bool)
-    buf = np.empty((rows, n), dtype=bool)
-    for i in range(0, n, rows):
-        j = min(n, i + rows)
-        ok = np.isfinite(m[i:j, :j], out=buf[:j - i, :j])
-        ok[:, i:] |= above[:j - i, :j - i]  # the block's strict upper part
-        if not ok.all():
-            return False
-    return True
-
-
-def _lanczos_top(m, k):
-    """Top-k pairs by ARPACK, ascending like `eigh`. The start vector and
-    the generator ARPACK draws restart vectors from are fixed, so a call
-    depends on m and k alone: ARPACK's default start is random, and a
-    low-rank m (noiseless P = X X^T) exhausts its Krylov space and forces
-    restarts."""
-    # BLAS symv reads one triangle, half the memory of a general product:
-    # at n = 1000 (BLAS on two threads) a solve took 5.5 ms against 20 ms
-    # with ndarray @ vector. Its upper triangle of m.T is the lower one of
-    # m, and m.T of a C-ordered m is already in Fortran order: no copy.
-    fortran = np.asfortranarray(m.T)
+def _lanczos_top(fortran, k):
+    """Top-k pairs by ARPACK, ascending like `eigh`, of the symmetric
+    matrix whose upper triangle is that of the Fortran-ordered `fortran`.
+    The start vector and the generator ARPACK draws restart vectors from
+    are fixed, so a call depends on the matrix and k alone: ARPACK's
+    default start is random, and a low-rank matrix (noiseless P = X X^T)
+    exhausts its Krylov space and forces restarts."""
     op = scipy.sparse.linalg.LinearOperator(
-        m.shape,
+        fortran.shape,
         matvec=lambda x: scipy.linalg.blas.dsymv(1.0, fortran, x.ravel()),
         dtype=float,
     )
     rng = np.random.Generator(np.random.Philox(0))
-    v0 = rng.standard_normal(m.shape[0])
+    v0 = rng.standard_normal(fortran.shape[0])
     vals, vecs = scipy.sparse.linalg.eigsh(op, k=k, which="LA", v0=v0, rng=rng)
     order = np.argsort(vals, kind="stable")
     return vals[order], vecs[:, order]
@@ -150,7 +129,9 @@ def top_eigs(m, k):
         included) is read; the strict upper part is never read, so it may
         hold anything, NaN included, and the result is the same bit for
         bit. Symmetry is trusted structurally where the caller built the
-        matrix; here only finiteness is checked, over the lower triangle.
+        matrix; here only finiteness is checked, over the lower triangle,
+        by one product with a constant vector: any NaN or +-inf entry
+        makes it non-finite, and no finite entry can make it overflow.
     k : int
         Number of eigenpairs, 1 <= k <= n.
 
@@ -166,12 +147,18 @@ def top_eigs(m, k):
     n = m.shape[0]
     if not 1 <= k <= n:
         raise ConfigError(f"k={k} out of range for order {n}")
-    if not _lower_is_finite(m):
+    # BLAS symv reads one triangle, half the memory of a general product:
+    # at n = 1000 (BLAS on two threads) a solve took 5.5 ms against 20 ms
+    # with ndarray @ vector. Its upper triangle of m.T is the lower one of
+    # m, and m.T of a C-ordered m is already in Fortran order: no copy.
+    fortran = np.asfortranarray(m.T)
+    probe = scipy.linalg.blas.dsymv(1.0, fortran, np.full(n, _PROBE))
+    if not np.isfinite(probe).all():
         raise ConfigError("matrix contains non-finite entries")
     vals = None
     if n >= LANCZOS_MIN_ORDER and k * LANCZOS_ORDER_PER_K <= n:
         try:
-            vals, vecs = _lanczos_top(m, k)
+            vals, vecs = _lanczos_top(fortran, k)
         except scipy.sparse.linalg.ArpackError:
             # no convergence, or a breakdown such as the zero matrix
             pass

@@ -17,6 +17,7 @@ from oos_ase import (
     sample_latents,
     top_eigs,
 )
+from oos_ase import linalg
 from oos_ase.errors import SingularityError
 from oos_ase.linalg import LANCZOS_MIN_ORDER, _column_signs
 
@@ -176,7 +177,7 @@ def test_top_eigs_rejects_nonfinite():
 @pytest.mark.parametrize("row", [1, 150, 299])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_top_eigs_rejects_nonfinite_in_any_row(bad, row):
-    # the check walks the rows in blocks; the last row is in a short one
+    # a first, a middle and the last row
     m = np.eye(300)
     m[row, row - 1] = m[row - 1, row] = bad
     with pytest.raises(ConfigError, match="non-finite"):
@@ -189,8 +190,8 @@ def test_top_eigs_rejects_nonfinite_in_any_row(bad, row):
 ])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_top_eigs_checks_the_lower_triangle_up_to_the_diagonal(bad, n, row, col):
-    # the check reads each 64-row block up to its diagonal: the entries on
-    # and just below it, in a block's first and last rows, still count
+    # the corners of the lower triangle, and entries on and just below the
+    # diagonal, count
     m = np.eye(n)
     m[row, col] = bad
     with pytest.raises(ConfigError, match="non-finite"):
@@ -209,6 +210,55 @@ def test_top_eigs_checks_finiteness_without_an_n_by_n_temporary(eigsh_calls):
         tracemalloc.stop()
     assert eigsh_calls == [2]
     assert peak < 2 * 2**20, f"traced peak {peak / 2**20:.2f} MB"
+
+
+class _SolverReached(Exception):
+    pass
+
+
+@pytest.fixture
+def solvers_stopped(monkeypatch):
+    """Make both eigensolver paths raise _SolverReached: top_eigs then
+    runs its finiteness check alone."""
+    def stop(*args, **kwargs):
+        raise _SolverReached
+
+    monkeypatch.setattr(linalg, "_lanczos_top", stop)
+    monkeypatch.setattr(scipy.linalg, "eigh", stop)
+
+
+@pytest.mark.parametrize("n", [60, 300, 3000])
+def test_top_eigs_accepts_the_largest_finite_entries(n, solvers_stopped):
+    # a probe of all ones would overflow the row sums of these triangles;
+    # the huge entries must not hide a NaN or +-inf either
+    m = np.empty((n, n))
+    for value in (1.7e308, -1.7e308):
+        m.fill(value)
+        with pytest.raises(_SolverReached):
+            top_eigs(m, 1)
+        mid = n // 2
+        corners = [(0, 0), (n - 1, 0), (n - 1, n - 1)]
+        for row, col in corners + [(mid, mid), (mid, mid - 1)]:
+            for bad in (np.nan, np.inf, -np.inf):
+                m[row, col] = bad
+                with pytest.raises(ConfigError, match="non-finite"):
+                    top_eigs(m, 1)
+            m[row, col] = value
+
+
+def test_top_eigs_finiteness_check_allocates_o_of_n(solvers_stopped):
+    # the check is one product with a vector: its buffers are a few
+    # vectors of n floats, not a block of rows of the matrix
+    n = 3000
+    m = sample_adjacency(sample_latents(MIX, n, seed=1), seed=2).to_dense()
+    tracemalloc.start()
+    try:
+        with pytest.raises(_SolverReached):
+            top_eigs(m, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * n, f"traced peak {peak} bytes"
 
 
 def test_top_eigs_k_range():
