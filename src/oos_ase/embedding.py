@@ -1,9 +1,10 @@
 """Adjacency spectral embedding.
 
 The embedding of a graph is X-hat = U_A S_A^{1/2} built from the top-d
-algebraically largest eigenpairs of the adjacency matrix. The result keeps
-the eigenpairs alone, and both out-of-sample solvers read them: the LS
-estimate U_A and S_A, the ML ascent U_A in the frame v = S_A^{1/2} w.
+algebraically largest eigenpairs of the adjacency matrix, which `ase` reads
+from the graph's dense lower storage, `AdjacencyMatrix.to_dense()`. The
+result keeps the eigenpairs alone, and both out-of-sample solvers read them:
+the LS estimate U_A and S_A, the ML ascent U_A in the frame v = S_A^{1/2} w.
 """
 
 from dataclasses import dataclass
@@ -52,13 +53,9 @@ def embed_matrix(m, d):
     This is the computational core of `ase`, exposed directly so that
     noiseless inputs (the edge-probability matrix P = X X^T itself) can be
     embedded in tests and diagnostics without manufacturing a graph. Like
-    `top_eigs`, it reads only the lower triangle of m; the strict upper
-    part is never read.
+    `top_eigs`, which checks m's shape and d against its order, it reads
+    only the lower triangle of m; the strict upper part is never read.
     """
-    m = np.asarray(m, dtype=float)
-    n = m.shape[0]
-    if not 1 <= d <= n:
-        raise ConfigError(f"embedding dimension {d} out of range for order {n}")
     eig = top_eigs(m, d)
     if np.any(eig.values <= 1e-10):
         raise DegenerateSpectrumError(
@@ -74,11 +71,21 @@ def ase(a, d):
     Raises DegenerateSpectrumError when any of the top-d eigenvalues is
     <= 1e-10: positivity is only guaranteed with high probability, and a
     collapsed spectrum should fail loudly rather than silently switch
-    estimators. The matrix embedded holds A in its lower triangle only,
-    which is all `top_eigs` reads.
+    estimators. An edgeless graph, whose A = 0 has no positive eigenvalue,
+    is refused before any eigensolve. The matrix embedded is
+    `a.to_dense()`, which holds A in its lower triangle only, all
+    `top_eigs` reads.
     """
     if not isinstance(a, AdjacencyMatrix):
         raise ConfigError("ase expects an AdjacencyMatrix (use embed_matrix "
                           "for raw symmetric input)")
-    return embed_matrix(a._lower_dense(), d)
-
+    if not 1 <= d <= a.n:
+        raise ConfigError(f"embedding dimension {d} out of range for order {a.n}")
+    if a.edge_count == 0:
+        # embed_matrix's refusal of A = 0, whose every eigenvalue is 0:
+        # ARPACK cannot start on it, and the dense fallback costs O(n^3)
+        raise DegenerateSpectrumError(
+            f"top-{d} spectrum not strictly positive: min eigenvalue "
+            "0.000e+00"
+        )
+    return embed_matrix(a.to_dense(), d)

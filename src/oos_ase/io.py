@@ -20,9 +20,9 @@ EDGE_HEADER = "oos-ase graph n="
 
 # Largest graph order read_edge_list accepts. The header is checked before
 # anything sized by it is allocated. At this order the graph's bit buffer of
-# n(n-1)/2 bytes takes 200 MB, and embedding the graph builds a dense n x n
-# float64 matrix of 3.2 GB. On Linux only the pages its lower triangle is
-# written to become resident (`model._zeroed_square`), 0.73 of the matrix
+# n(n-1)/2 bytes takes 200 MB, and embedding the graph builds its dense n x n
+# float64 operand of 3.2 GB, `AdjacencyMatrix.to_dense`. On Linux only the
+# pages its lower triangle is written to become resident, 0.73 of the matrix
 # at n = 10 000, so about 2.3 GB here. The header does not bound the
 # reader's other memory, which grows with the file (an edge line takes at
 # least 4 bytes): the file's bytes, read once; their int64 pairs, 16 bytes

@@ -203,19 +203,21 @@ class AdjacencyMatrix:
         self.n = n
         self._packed = np.packbits(bits)
 
+    @property
+    def edge_count(self):
+        """Number of edges, counted over the packed bytes, whose pad bits
+        are zero."""
+        return int(np.bitwise_count(self._packed).sum())
+
     def triu_bits(self):
         """Strict upper-triangle entries as a uint8 vector (row-major)."""
         return np.unpackbits(self._packed, count=_triu_size(self.n))
 
     def to_dense(self):
-        """A as an n x n float64 array: _lower_dense plus its transpose."""
-        lower = self._lower_dense()
-        return lower + lower.T
-
-    def _lower_dense(self):
-        """C-ordered float64 n x n array holding A's strict lower
-        triangle, zero elsewhere: the one triangle the eigensolvers read
-        (see `linalg.top_eigs`).
+        """A in dense lower storage (LAPACK's full storage, UPLO = 'L'):
+        a C-ordered float64 n x n array holding A's strict lower triangle
+        and zeros elsewhere, the one triangle `linalg.top_eigs` reads. For
+        the symmetric A, take m + m.T of the result m.
 
         Up to n = 2048 the array comes from np.zeros. Above that
         (`_zeroed_square`) only the pages the fill writes are faulted in:
@@ -303,9 +305,7 @@ class AdjacencyMatrix:
         return self.n == other.n and np.array_equal(self._packed, other._packed)
 
     def __repr__(self):
-        # the pad bits of the last packed byte are zero
-        edges = int(np.bitwise_count(self._packed).sum())
-        return f"AdjacencyMatrix(n={self.n}, edges={edges})"
+        return f"AdjacencyMatrix(n={self.n}, edges={self.edge_count})"
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,6 +1,6 @@
 """The dense oracles of the tests: the graph of a symmetric, hollow 0/1
-matrix, the inverse of AdjacencyMatrix.to_dense, and a graph's lower
-triangle written edge by edge."""
+matrix, the inverse of m + m.T for m = AdjacencyMatrix.to_dense(), and a
+graph's lower triangle written edge by edge."""
 
 import numpy as np
 
@@ -16,7 +16,7 @@ def from_dense(m):
 
 def lower_from_edges(adj):
     """A's strict lower triangle, zero elsewhere, as a C-ordered n x n
-    float64 array written from the edge list: what _lower_dense returns."""
+    float64 array written from the edge list: what to_dense returns."""
     m = np.zeros((adj.n, adj.n))
     i, j = adj.edges().T
     m[j, i] = 1.0

@@ -691,6 +691,20 @@ def test_cli_embed_degenerate_exit_3(tmp_path, capsys):
     assert capsys.readouterr().err != ""
 
 
+def test_cli_embed_edgeless_graph_exit_3(tmp_path, capsys):
+    # a header-only file is an edgeless graph, refused before the n x n
+    # operand is filled or any eigensolver runs
+    gpath = tmp_path / "empty.txt"
+    gpath.write_text("oos-ase graph n=3000\n")
+    argv = ["embed", "--graph", str(gpath), "--out", str(tmp_path / "e")]
+    assert main(argv + ["--dim", "2"]) == 3
+    assert "min eigenvalue 0.000e+00" in capsys.readouterr().err
+    assert main(argv + ["--dim", "0"]) == 2
+    assert "embedding dimension 0 out of range for order 3000" in (
+        capsys.readouterr().err)
+    assert os.listdir(tmp_path) == ["empty.txt"]
+
+
 def test_cli_usage_errors(tmp_path, capsys):
     # argparse reports usage problems itself with exit status 2
     with pytest.raises(SystemExit) as exc:

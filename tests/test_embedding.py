@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from oos_ase import (
     AdjacencyMatrix,
@@ -14,6 +15,7 @@ from oos_ase import (
     sample_latents,
     sample_oos_edges,
 )
+from oos_ase import linalg
 from oos_ase.errors import DegenerateSpectrumError
 
 from dense import from_dense
@@ -97,6 +99,36 @@ def test_dimension_out_of_range():
         embed_matrix(np.eye(3), 4)
 
 
+@pytest.mark.parametrize("m", [np.float64(3.0), np.ones(3)])
+def test_embed_matrix_refuses_a_matrix_of_the_wrong_rank(m):
+    # the shape is top_eigs' to check: no IndexError from reading shape[0]
+    with pytest.raises(ConfigError, match="square matrix"):
+        embed_matrix(m, 1)
+
+
+@pytest.mark.parametrize("n", [100, 300])
+def test_ase_refuses_an_edgeless_graph_before_any_eigensolve(n, monkeypatch):
+    # ARPACK cannot start on A = 0 (from n = 256 on), and its dense
+    # fallback took 2.7 s at n = 4000 only to find the zeros
+    def stop(*args, **kwargs):
+        raise AssertionError("an eigensolver ran")
+
+    monkeypatch.setattr(linalg, "_lanczos_top", stop)
+    monkeypatch.setattr(scipy.linalg, "eigh", stop)
+    a = AdjacencyMatrix(n, np.zeros(n * (n - 1) // 2, dtype=bool))
+    assert a.edge_count == 0
+    for d in (1, 2):
+        with pytest.raises(DegenerateSpectrumError) as err:
+            ase(a, d)
+        assert str(err.value) == (
+            f"top-{d} spectrum not strictly positive: min eigenvalue 0.000e+00")
+    # the order is checked first
+    for d in (0, n + 1):
+        with pytest.raises(ConfigError, match=(
+                f"embedding dimension {d} out of range for order {n}")):
+            ase(a, d)
+
+
 def test_ase_requires_adjacency_type():
     with pytest.raises(ConfigError, match="AdjacencyMatrix"):
         ase(np.eye(4) - np.eye(4), 1)
@@ -107,8 +139,9 @@ def test_ase_equals_embedding_of_the_full_matrix(n):
     # ase embeds the lower triangle only; both eigensolver paths must give
     # the bits of the full symmetric matrix
     a = sample_adjacency(sample_latents(MIX, n, seed=n), seed=n + 1)
+    lower = a.to_dense()
     for d in (1, 2):
-        got, want = ase(a, d), embed_matrix(a.to_dense(), d)
+        got, want = ase(a, d), embed_matrix(lower + lower.T, d)
         assert np.array_equal(got.positions, want.positions)
         assert np.array_equal(got.eig.values, want.eig.values)
         assert np.array_equal(got.eig.vectors, want.eig.vectors)

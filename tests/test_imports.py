@@ -1,6 +1,6 @@
 """Every name a library module imports is used in it, every public function
-it defines has a caller in the program, and every name the benchmark traces
-exists.
+it defines has a caller in the program, no module reads another's private
+names, and every name the benchmark traces exists.
 
 No linter runs over this repository, so this is what stops a deletion from
 leaving an orphan import behind, and a test from being a function's only
@@ -15,6 +15,7 @@ import pytest
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "oos_ase")
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "spans.py")
+ACCEPTANCE = os.path.join(os.path.dirname(__file__), "test_acceptance.py")
 MODULES = sorted(f for f in os.listdir(SRC)
                  if f.endswith(".py") and f != "__init__.py")
 
@@ -66,7 +67,6 @@ UNCALLED = {
     "oos.likelihood": "criterion 8's derivative oracle",
     "linalg.lstsq": "criterion 4's generic solver",
     "linalg.EigenPairs.residuals": "the acceptance suite's eigenpair check",
-    "model.AdjacencyMatrix.to_dense": "traced by bench/spans.py",
 }
 
 
@@ -113,6 +113,67 @@ def test_every_public_function_has_a_program_caller():
         with open(os.path.join(SRC, module)) as fh:
             sources[module[:-3]] = fh.read()
     assert uncalled_functions(sources) == sorted(UNCALLED)
+
+
+def test_uncalled_functions_are_used_by_the_acceptance_suite():
+    """An UNCALLED entry is kept for a paper claim, so the acceptance
+    suite must use it; a function only other tests call is deleted."""
+    with open(ACCEPTANCE) as fh:
+        tree = ast.parse(fh.read())
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    assert {name.rsplit(".", 1)[1] for name in UNCALLED} <= used
+
+
+def _private(name):
+    return name[0] == "_" and not (name[:2] == "__" == name[-2:])
+
+
+def private_reads(source):
+    """(line, expression) of each read in source of another module's
+    private name: `x._name` where x is not self or cls and the module
+    defines no `_name` of its own (an instance method may read another
+    instance's private state, as __eq__ does), and `from .m import _name`.
+    Dunders are public."""
+    tree = ast.parse(source)
+    own = {node.name for node in ast.walk(tree)
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    own |= {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, f"from {'.' * node.level}{node.module or ''}"
+                       f" import {a.name}")
+                      for a in node.names if _private(a.name)]
+        elif (isinstance(node, ast.Attribute) and _private(node.attr)
+              and node.attr not in own
+              and not (isinstance(node.value, ast.Name)
+                       and node.value.id in ("self", "cls"))):
+            found.append((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+def test_private_reads_are_found():
+    source = ("from .a import _f, g\nfrom . import _m\nimport b\n"
+              "class C:\n"
+              "    def __init__(self):\n        self._x = 1\n"
+              "    def __eq__(self, other):\n        return other._x\n"
+              "    @classmethod\n    def make(cls):\n        return cls._y\n"
+              "def _own():\n    pass\n"
+              "b._hidden()\nb.c._deep\nb.__name__\nb._own\ng(self._z)\n")
+    assert private_reads(source) == [
+        (1, "from .a import _f"), (2, "from . import _m"),
+        (14, "b._hidden"), (15, "b.c._deep")]
+
+
+@pytest.mark.parametrize("module", sorted(
+    f for f in os.listdir(SRC) if f.endswith(".py")))
+def test_no_module_reads_another_modules_private_names(module):
+    with open(os.path.join(SRC, module)) as fh:
+        assert private_reads(fh.read()) == []
 
 
 @pytest.mark.skipif(not os.path.exists(SPANS), reason="no bench/ checkout")

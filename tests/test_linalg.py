@@ -108,8 +108,9 @@ def test_top_eigs_lanczos_matches_dense_oracle(n, eigsh_calls):
 def test_top_eigs_reads_only_the_lower_triangle(n, eigsh_calls):
     # ase hands top_eigs an array whose upper part is zero; the strict
     # upper part is neither read nor checked, so even non-finite entries
-    # there leave the pairs as they are
+    # there leave the pairs of the symmetric A as they are
     m = sample_adjacency(sample_latents(MIX, n, seed=n), seed=n + 1).to_dense()
+    m += m.T
     full = top_eigs(m, 2)
     upper = np.triu_indices(n, 1)
     for fill in (0.0, np.nan, np.inf, -np.inf):

@@ -70,7 +70,9 @@ def test_sample_latents_deterministic():
 def test_adjacency_structure():
     x = sample_latents(MIX, 40, seed=5)
     a = sample_adjacency(x, seed=6)
-    dense = a.to_dense()
+    lower = a.to_dense()
+    assert np.array_equal(lower, np.tril(lower, -1))
+    dense = lower + lower.T
     assert np.array_equal(dense, dense.T)
     assert np.all(np.diagonal(dense) == 0)
     assert set(np.unique(dense)) <= {0.0, 1.0}
@@ -84,7 +86,9 @@ def test_adjacency_all_zero_all_one():
     full = AdjacencyMatrix(n, np.ones(size, dtype=np.uint8))
     assert empty.triu_bits().mean() == 0.0 and empty.edges().shape == (0, 2)
     assert full.triu_bits().mean() == 1.0 and full.edges().shape == (size, 2)
-    assert np.array_equal(full.to_dense(), np.ones((n, n)) - np.eye(n))
+    lower = full.to_dense()
+    assert np.array_equal(lower, np.tril(np.ones((n, n)), -1))
+    assert np.array_equal(lower + lower.T, np.ones((n, n)) - np.eye(n))
     # bool bits skip the 0/1 scan and pack to the same bytes as other dtypes
     assert AdjacencyMatrix(n, np.zeros(size, dtype=bool)) == empty
     assert AdjacencyMatrix(n, np.ones(size, dtype=bool)) == full
@@ -104,7 +108,8 @@ def test_from_edges_inverts_edges_property(n, seed, density):
     adj = AdjacencyMatrix(n, rng.random(n * (n - 1) // 2) < density)
     pairs = adj.edges()
     # the former n x n implementation is the oracle of the pair order
-    assert np.array_equal(pairs, np.argwhere(np.triu(adj.to_dense())))
+    lower = adj.to_dense()
+    assert np.array_equal(pairs, np.argwhere(np.triu(lower + lower.T)))
     assert AdjacencyMatrix.from_edges(n, pairs) == adj
     # pair order and repeats do not matter
     shuffled = np.concatenate((pairs, pairs[: len(pairs) // 2]))
@@ -316,11 +321,11 @@ def test_dense_fills_from_the_packed_bits(n):
         a = AdjacencyMatrix(n, bits)
         want = np.zeros((n, n))
         want[upper[1], upper[0]] = bits
-        lower = a._lower_dense()
+        lower = a.to_dense()
         assert lower.dtype == np.float64 and lower.flags.c_contiguous
         assert np.array_equal(lower, want)
         want[upper] = bits
-        assert np.array_equal(a.to_dense(), want)
+        assert np.array_equal(lower + lower.T, want)
 
 
 @pytest.mark.parametrize("n", [2048, 2049])
@@ -329,7 +334,7 @@ def test_dense_fill_on_both_sides_of_the_mapped_size(n):
     # 2049 the first that is mapped with a page policy
     a = sample_adjacency(sample_latents(MIX, n, seed=n), seed=n + 1)
     want = lower_from_edges(a)
-    lower = a._lower_dense()
+    lower = a.to_dense()
     assert lower.dtype == np.float64 and lower.flags.c_contiguous
     assert np.array_equal(lower, want)
     emb, ref = ase(a, 2), embed_matrix(want, 2)
@@ -355,7 +360,7 @@ def test_large_dense_fill_leaves_most_of_the_upper_triangle_unfaulted():
     n = 3000
     a = sample_adjacency(sample_latents(MIX, n, seed=3), seed=4)
     before = _resident_bytes()
-    lower = a._lower_dense()
+    lower = a.to_dense()
     top_eigs(lower, 2)
     added = _resident_bytes() - before
     assert added <= 0.9 * lower.nbytes, f"{added / lower.nbytes:.2f} x 8 n^2"
@@ -370,7 +375,7 @@ def test_a_failed_map_raises_memory_error(monkeypatch):
     a = AdjacencyMatrix(n, np.zeros(n * (n - 1) // 2, dtype=bool))
     monkeypatch.setattr(mmap, "mmap", no_memory)
     with pytest.raises(MemoryError):
-        a._lower_dense()
+        a.to_dense()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 9, 100])
@@ -379,4 +384,7 @@ def test_repr_counts_the_edges(n):
     graphs += [sample_adjacency(sample_latents(MIX, n, seed=s), seed=s + 10)
                for s in range(4)]
     for a in graphs:
-        assert repr(a) == f"AdjacencyMatrix(n={n}, edges={len(a.edges())})"
+        assert a.edge_count == len(a.edges())
+        assert repr(a) == f"AdjacencyMatrix(n={n}, edges={a.edge_count})"
+    with pytest.raises(AttributeError):
+        graphs[0].edge_count = 0
