@@ -8,6 +8,7 @@ the LS estimate U_A and S_A, the ML ascent U_A in the frame v = S_A^{1/2} w.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .model import AdjacencyMatrix
 @dataclass(frozen=True, eq=False)
 class Embedding:
     """The top-d eigenpairs of a graph, whose estimated latent positions are
-    X-hat = vectors * sqrt(values).
+    X-hat = vectors * root, where root = sqrt(values).
 
     Invariant (checked at construction): every retained eigenvalue is
     strictly positive.
@@ -33,10 +34,17 @@ class Embedding:
                 "retained eigenvalues must be strictly positive"
             )
 
+    @cached_property
+    def root(self):
+        """sqrt(lambda), (d,): derived from eig.values on first read and
+        kept, never stored beside them. positions, lls_oos and ml_oos all
+        read it, so the square roots are taken once per embedding."""
+        return np.sqrt(self.eig.values)
+
     @property
     def positions(self):
         """X-hat, (n, d)."""
-        return self.eig.vectors * np.sqrt(self.eig.values)
+        return self.eig.vectors * self.root
 
     @property
     def n(self):

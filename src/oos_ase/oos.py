@@ -15,6 +15,7 @@ Edge values may also be fractional (in [0, 1]); the noiseless diagnostic
 path passes a = X w-bar directly and both estimators recover w-bar exactly.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,14 @@ from .model import EdgeVector
 
 @dataclass(frozen=True, eq=False)
 class OosEstimate:
-    """A d-vector estimate with method tag and solver diagnostics."""
+    """A d-vector estimate with method tag and solver diagnostics.
+
+    Invariant (checked at construction): w is a float64 ndarray with no
+    NaN or infinite entry. w goes through np.asarray(w, dtype=float), which
+    keeps a float64 ndarray as the same object and converts anything else;
+    every entry is then tested with math.isfinite, and a non-finite one
+    raises SolverError.
+    """
 
     w: np.ndarray
     method: str  # "LS" or "ML"
@@ -47,8 +55,10 @@ class OosEstimate:
     objective: float | None = None
 
     def __post_init__(self):
+        # np.asarray returns a float64 ndarray itself; and w has d entries,
+        # which math.isfinite tests faster than one np.isfinite call
         w = np.asarray(self.w, dtype=float)
-        if not np.isfinite(w).all():
+        if not all(map(math.isfinite, w.ravel().tolist())):
             raise SolverError("estimate contains non-finite entries")
         object.__setattr__(self, "w", w)
 
@@ -97,10 +107,13 @@ def lls_oos(emb, a):
 
     The closed form coincides with the generic least-squares solution
     because X-hat^T X-hat = S_A exactly. Cost is one (n x d)-vector
-    product — no n x n work.
+    product — no n x n work. S_A^{1/2} is `emb.root`, taken once per
+    embedding, so a call does the float cast of a, the product and one
+    division by d square roots already at hand.
     """
-    u, avec = emb.eig.vectors, _edge_values(a, emb.n)
-    return OosEstimate(w=(u.T @ avec) / np.sqrt(emb.eig.values), method="LS")
+    u = emb.eig.vectors
+    avec = _edge_values(a, u.shape[0])
+    return OosEstimate(w=(u.T @ avec) / emb.root, method="LS")
 
 
 def _value(avec, bvec, p):
@@ -258,7 +271,7 @@ def ml_oos(emb, a, eps=0.05):
     600 estimates ended on the box at eps = 0.05, and none at eps = 0.02.
     """
     check_eps(eps)
-    u, root = emb.eig.vectors, np.sqrt(emb.eig.values)
+    u, root = emb.eig.vectors, emb.root
     n = u.shape[0]
     avec = _edge_values(a, n)
     bvec = 1.0 - avec

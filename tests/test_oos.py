@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -13,6 +14,8 @@ from oos_ase import (
     Embedding,
     FeasibilityError,
     LatentDistribution,
+    OosEstimate,
+    SolverError,
     ase,
     embed_matrix,
     likelihood,
@@ -199,6 +202,44 @@ def test_lls_cost_scales_linearly():
     samples = [(timed(*small), timed(*large)) for _ in range(9)]
     t1, t2 = (min(col) for col in zip(*samples))
     assert t2 / t1 < 2.6, f"t(400k)/t(200k) = {t2 / t1:.2f}"
+
+
+def test_lls_peak_memory_is_the_float_copy_of_the_edge_vector():
+    # the one n-sized allocation of a call on an EdgeVector is its float
+    # cast: no n x d temporary, such as the positions, is made
+    n = 4000
+    x, emb = _gram_embedding(n, seed=3)
+    a = sample_oos_edges(x, MIX.points[0], seed=4)
+    lls_oos(emb, a)  # warm-up
+    tracemalloc.start()
+    try:
+        lls_oos(emb, a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n + 4096, peak
+
+
+# ------------------------------------------------------------ estimate invariant
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_estimate_refuses_a_non_finite_entry(bad):
+    for w in (np.array([0.5, bad]), [bad, 0.5], np.array([[0.5], [bad]])):
+        with pytest.raises(SolverError, match="non-finite"):
+            OosEstimate(w=w, method="LS")
+
+
+def test_estimate_makes_other_inputs_float64_arrays():
+    for w in ([1, 2], np.array([1, 2]), (0.25, 3)):
+        est = OosEstimate(w=w, method="ML")
+        assert type(est.w) is np.ndarray and est.w.dtype == np.float64
+        assert est.w.tolist() == [float(v) for v in w]
+
+
+def test_estimate_keeps_a_float64_array_as_it_is():
+    w = np.array([0.25, -3.0])
+    assert OosEstimate(w=w, method="LS").w is w
 
 
 # ------------------------------------------------------------------ likelihood
@@ -599,6 +640,34 @@ def test_ml_estimates_keep_their_golden_bits():
             est.active_constraints,
         )
         assert got == GOLDEN_ML[name], name
+
+
+# float.hex of lls_oos(...).w, for the edge values of three golden problems
+GOLDEN_LS = {
+    "interior Newton": ["0x1.46e1ecea94088p-1", "0x1.62334a48756e6p-2"],
+    "Chebyshev start": ["0x1.85ee9a5cc3537p+0", "0x1.bef21d6db12d5p-5"],
+    "weak axis, interior": ["0x1.e666666666662p-1", "-0x1.59e035579d048p+21"],
+}
+
+
+def test_ls_estimates_keep_their_golden_bits():
+    for name, emb, a, _ in _golden_problems():
+        if name not in GOLDEN_LS:
+            continue
+        w = lls_oos(emb, a).w
+        assert [float(v).hex() for v in w] == GOLDEN_LS[name], name
+        # the closed form itself, bit for bit
+        avec = a.a.astype(float) if hasattr(a, "a") else a
+        closed = (emb.eig.vectors.T @ avec) / np.sqrt(emb.eig.values)
+        assert w.tobytes() == closed.tobytes(), name
+
+
+def test_embedding_root_is_taken_once():
+    _, emb = _gram_embedding(100, seed=0)
+    assert emb.root.tobytes() == np.sqrt(emb.eig.values).tobytes()
+    assert emb.root is emb.root
+    assert emb.positions.tobytes() == (
+        emb.eig.vectors * np.sqrt(emb.eig.values)).tobytes()
 
 
 def _count_calls(monkeypatch, names):
