@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .linalg import check_orthonormal
 
 
 @dataclass(frozen=True, eq=False)
@@ -21,9 +22,9 @@ class ProcrustesResult:
     def __post_init__(self):
         r = np.asarray(self.rotation, dtype=float)
         object.__setattr__(self, "rotation", r)
-        defect = r.T @ r - np.eye(r.shape[0])
-        if not np.max(np.abs(defect)) <= 1e-10:  # a NaN fails too
-            raise ConfigError("rotation is not orthogonal (defect > 1e-10)")
+        if r.ndim != 2 or r.shape[0] != r.shape[1]:
+            raise ConfigError("rotation must be a square matrix")
+        check_orthonormal(r, "rotation is not orthogonal")
 
 
 def procrustes(source, target):

@@ -18,8 +18,9 @@ from . import io
 from .embedding import ase
 from .errors import ConfigError, OosAseError, SolverError
 from .experiments import ExperimentConfig, run_study
-from .model import as_generator, sample_adjacency, sample_latents, sample_oos_edges
-from .oos import lls_oos, ml_oos
+from .model import (MAX_ORDER, as_generator, sample_adjacency,
+                    sample_latents, sample_oos_edges)
+from .oos import DEFAULT_EPS, lls_oos, ml_oos
 from .theory import ClassifySpec
 
 
@@ -35,8 +36,8 @@ def _int_list(text):
 def cmd_sample(args):
     """Sample a graph, its latent positions, and one out-of-sample vertex."""
     dist = io.read_distribution(args.spec)
-    if args.n < 1:
-        raise ConfigError("--n must be >= 1")
+    if not 1 <= args.n <= MAX_ORDER:
+        raise ConfigError(f"--n must be >= 1 and <= {MAX_ORDER}")
     os.makedirs(args.out, exist_ok=True)
     rng = as_generator(args.seed)
     lat_all = sample_latents(dist, args.n + 1, rng)
@@ -99,7 +100,7 @@ def cmd_experiment(args):
     cfg = ExperimentConfig(**kwargs)
     result = run_study(cfg)
     io.write_study(result, args.out)
-    print(json.dumps(result.summary, sort_keys=True, indent=2))
+    print(io.json_text(result.summary))
     return 0
 
 
@@ -130,8 +131,8 @@ def build_parser():
                    help="embedding prefix (expects <prefix>.csv and <prefix>.json)")
     p.add_argument("--edges", required=True, help="edge vector file")
     p.add_argument("--method", required=True, choices=["ls", "ml"])
-    p.add_argument("--eps", type=float, default=0.05,
-                   help="ML constraint margin (default 0.05)")
+    p.add_argument("--eps", type=float, default=DEFAULT_EPS,
+                   help=f"ML constraint margin (default {DEFAULT_EPS})")
     p.set_defaults(func=cmd_oos)
 
     p = sub.add_parser("experiment", help="run a Monte-Carlo study")
@@ -141,7 +142,7 @@ def build_parser():
                    help="vertex count, or comma list for rate/ratio grids")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=0.05)
+    p.add_argument("--eps", type=float, default=DEFAULT_EPS)
     p.add_argument("--workers", type=int, default=1,
                    help="trial worker processes, forked, largest graphs "
                    "first; output is the same for every count (default 1; "

@@ -55,6 +55,11 @@ class Embedding:
         return self.eig.vectors.shape[1]
 
 
+def _degenerate(d, smallest):
+    return DegenerateSpectrumError(f"top-{d} spectrum not strictly positive: "
+                                   f"min eigenvalue {smallest:.3e}")
+
+
 def embed_matrix(m, d):
     """Spectral embedding of a dense symmetric matrix.
 
@@ -66,10 +71,7 @@ def embed_matrix(m, d):
     """
     eig = top_eigs(m, d)
     if np.any(eig.values <= 1e-10):
-        raise DegenerateSpectrumError(
-            f"top-{d} spectrum not strictly positive: min eigenvalue "
-            f"{eig.values.min():.3e}"
-        )
+        raise _degenerate(d, eig.values.min())
     return Embedding(eig=eig)
 
 
@@ -92,8 +94,5 @@ def ase(a, d):
     if a.edge_count == 0:
         # embed_matrix's refusal of A = 0, whose every eigenvalue is 0:
         # ARPACK cannot start on it, and the dense fallback costs O(n^3)
-        raise DegenerateSpectrumError(
-            f"top-{d} spectrum not strictly positive: min eigenvalue "
-            "0.000e+00"
-        )
+        raise _degenerate(d, 0.0)
     return embed_matrix(a.to_dense(), d)

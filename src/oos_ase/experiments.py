@@ -26,16 +26,15 @@ from .align import aligned_error, procrustes
 from .embedding import ase
 from .errors import ConfigError, OosAseError
 from .model import (
+    MAX_ORDER,
     LatentDistribution,
     LatentMatrix,
     sample_adjacency,
     sample_latents,
     sample_oos_edges,
 )
-from .oos import check_eps, lls_oos, ml_oos
+from .oos import DEFAULT_EPS, check_eps, lls_oos, ml_oos
 from .theory import ClassifySpec, chi2_quantile, error_ratio_curve, sigma_clt
-
-STUDIES = ("clt_ls", "clt_ml", "rate_sweep", "error_ratio")
 
 
 def _grid(name, values):
@@ -48,14 +47,14 @@ def _grid(name, values):
     return grid
 
 
-@dataclass
+@dataclass(eq=False)
 class ExperimentConfig:
     study: str
     dist: LatentDistribution | None = None
     spec: ClassifySpec | None = None
     n_grid: tuple[int, ...] = ()
     trials: int = 1
-    epsilon: float = 0.05
+    epsilon: float = DEFAULT_EPS
     master_seed: int = 0
     workers: int = 1
     wbar: np.ndarray | None = None  # None: draw w-bar from F each trial
@@ -92,12 +91,14 @@ class ExperimentConfig:
             if self.n_grid[0] < self.dist.dimension:  # no trial could embed
                 raise ConfigError(f"n_grid entries must be >= the "
                                   f"dimension {self.dist.dimension}")
+            if self.n_grid[-1] > MAX_ORDER:  # the largest graph drawn
+                raise ConfigError(f"n_grid entries must be <= {MAX_ORDER}")
             if self.wbar is not None:
                 self.wbar = np.asarray(self.wbar, dtype=float).ravel()
                 self.dist.edge_probabilities(self.wbar)  # fail before trials
 
 
-@dataclass
+@dataclass(eq=False)
 class TrialRecord:
     trial: int
     n: int
@@ -349,10 +350,11 @@ def _run_error_ratio(cfg):
     return StudyResult(cfg, [], summary, plotdata)
 
 
+# Each study's runner by name, and so the studies ExperimentConfig accepts.
+STUDIES = {"clt_ls": _run_clt_study, "clt_ml": _run_clt_study,
+           "rate_sweep": _run_rate_sweep, "error_ratio": _run_error_ratio}
+
+
 def run_study(cfg):
     """Run the study cfg names; the one entry point for every study."""
-    if cfg.study in ("clt_ls", "clt_ml"):
-        return _run_clt_study(cfg)
-    if cfg.study == "rate_sweep":
-        return _run_rate_sweep(cfg)
-    return _run_error_ratio(cfg)
+    return STUDIES[cfg.study](cfg)

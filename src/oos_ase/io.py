@@ -14,26 +14,25 @@ import numpy as np
 from .embedding import Embedding
 from .errors import ConfigError, FileFormatError
 from .linalg import SIGN_CONVENTION, EigenPairs
-from .model import AdjacencyMatrix, EdgeVector, LatentDistribution
+from .model import MAX_ORDER, AdjacencyMatrix, EdgeVector, LatentDistribution
 
 EDGE_HEADER = "oos-ase graph n="
-
-# Largest graph order read_edge_list accepts. The header is checked before
-# anything sized by it is allocated. At this order the graph's bit buffer of
-# n(n-1)/2 bytes takes 200 MB, and embedding the graph builds its dense n x n
-# float64 operand of 3.2 GB, `AdjacencyMatrix.to_dense`. On Linux only the
-# pages its lower triangle is written to become resident, 0.73 of the matrix
-# at n = 10 000, so about 2.3 GB here. The header does not bound the
-# reader's other memory, which grows with the file (an edge line takes at
-# least 4 bytes): the file's bytes, read once; their int64 pairs, 16 bytes
-# per edge line, held twice while the windows' pairs are joined; and the
-# temporaries of one window of lines.
-MAX_ORDER = 20_000
 
 
 def fmt(x):
     """Canonical decimal form of a float: 17 significant digits."""
     return format(float(x), ".17g")
+
+
+def json_text(obj):
+    """Text of every JSON document the program writes: keys sorted, indent 2."""
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+def write_json(obj, path):
+    """json_text(obj) as the file at path, ending in a newline."""
+    with open(path, "w") as fh:
+        fh.write(json_text(obj) + "\n")
 
 
 @contextmanager
@@ -307,9 +306,7 @@ def write_embedding(emb, csv_path, sidecar_path):
         "eigenvalues": [float(v) for v in emb.eig.values],
         "sign_convention": SIGN_CONVENTION,
     }
-    with open(sidecar_path, "w") as fh:
-        json.dump(sidecar, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(sidecar, sidecar_path)
 
 
 def read_embedding(csv_path, sidecar_path):
@@ -338,7 +335,17 @@ def read_embedding(csv_path, sidecar_path):
 
 # ----------------------------------------------------- distribution specs
 
+def _is_number(value):
+    """Whether value is a JSON number as json.load returns one: an int
+    (not a bool) or a float."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def read_distribution(path):
+    """The LatentDistribution of a JSON spec. Its "dimension" must be a
+    JSON integer, and each atom's "point" a list of JSON numbers and its
+    "weight" a JSON number: a string, boolean or null is refused, and so
+    is a dimension such as 2.0 or 2.9."""
     try:
         with _text_file(path, ConfigError) as fh:
             raw = json.load(fh)
@@ -346,18 +353,25 @@ def read_distribution(path):
         raise ConfigError(f"{path}: not valid JSON ({exc})")
     if not isinstance(raw, dict) or "dimension" not in raw or "atoms" not in raw:
         raise ConfigError(f"{path}: spec needs 'dimension' and 'atoms' fields")
+    if not isinstance(raw["dimension"], int) or isinstance(raw["dimension"], bool):
+        raise ConfigError(f"{path}: 'dimension' must be an integer")
     if not isinstance(raw["atoms"], list):
         raise ConfigError(f"{path}: 'atoms' must be a list")
     atoms = []
     for k, atom in enumerate(raw["atoms"]):
         if not isinstance(atom, dict) or "point" not in atom or "weight" not in atom:
             raise ConfigError(f"{path}: atom {k} needs 'point' and 'weight'")
-        atoms.append((atom["point"], atom["weight"]))
+        point, weight = atom["point"], atom["weight"]
+        if not (isinstance(point, list) and all(map(_is_number, point))):
+            raise ConfigError(f"{path}: atom {k} 'point' must be a list of numbers")
+        if not _is_number(weight):
+            raise ConfigError(f"{path}: atom {k} 'weight' must be a number")
+        atoms.append((point, weight))
     try:
         return LatentDistribution(raw["dimension"], atoms)
     except ConfigError:
         raise
-    except (TypeError, ValueError, OverflowError) as exc:  # a field's type
+    except (ValueError, OverflowError) as exc:  # ragged, or beyond a float
         raise ConfigError(f"{path}: malformed spec ({exc})") from None
 
 
@@ -375,7 +389,7 @@ def estimate_json(est):
     }
     if est.objective is not None:
         doc["diagnostics"]["objective"] = est.objective
-    return json.dumps(doc, sort_keys=True, indent=2)
+    return json_text(doc)
 
 
 # ----------------------------------------------------------- study output
@@ -414,12 +428,6 @@ def write_trials_csv(records, d, path):
             writer.writerow(row)
 
 
-def write_summary_json(summary, path):
-    with open(path, "w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 def write_plotdata_csv(header, rows, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -434,7 +442,7 @@ def write_study(result, outdir):
     if result.records:
         write_trials_csv(result.records, result.config.dist.dimension,
                          os.path.join(outdir, "trials.csv"))
-    write_summary_json(result.summary, os.path.join(outdir, "summary.json"))
+    write_json(result.summary, os.path.join(outdir, "summary.json"))
     plotdir = os.path.join(outdir, "plotdata")
     os.makedirs(plotdir, exist_ok=True)
     for name in sorted(result.plotdata):

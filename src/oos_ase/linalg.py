@@ -59,6 +59,12 @@ SIGN_CONVENTION = "max-entry-positive"
 SIGN_TIE_RTOL = 1e-9
 
 
+def check_orthonormal(q, what):
+    """Raise ConfigError unless q has orthonormal columns; a NaN fails."""
+    if not np.max(np.abs(q.T @ q - np.eye(q.shape[1]))) <= 1e-10:
+        raise ConfigError(f"{what} (defect > 1e-10)")
+
+
 def _column_signs(vectors):
     """Per-column factors +-1 that put `vectors` in SIGN_CONVENTION."""
     mag = np.abs(vectors)
@@ -69,7 +75,7 @@ def _column_signs(vectors):
     return signs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenPairs:
     """Top-k eigenvalues (descending) with orthonormal eigenvectors as columns."""
 
@@ -83,12 +89,9 @@ class EigenPairs:
         object.__setattr__(self, "vectors", vectors)
         if values.ndim != 1 or vectors.ndim != 2 or vectors.shape[1] != values.shape[0]:
             raise ConfigError("eigenpair shapes do not match")
-        # both checks are written so that a NaN fails them
-        if not np.all(np.diff(values) <= 0):
+        if not np.all(np.diff(values) <= 0):  # a NaN fails too
             raise ConfigError("eigenvalues must be sorted descending")
-        defect = vectors.T @ vectors - np.eye(values.shape[0])
-        if not np.max(np.abs(defect)) <= 1e-10:
-            raise ConfigError("eigenvectors are not orthonormal (defect > 1e-10)")
+        check_orthonormal(vectors, "eigenvectors are not orthonormal")
 
     def residuals(self, m):
         """Per-pair residual ||M v_i - lambda_i v_i|| against a dense symmetric M."""

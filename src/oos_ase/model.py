@@ -14,6 +14,7 @@ pass an integer seed, a numpy SeedSequence, or a Generator. Identical
 import contextlib
 import math
 import mmap
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ class LatentDistribution:
     """Finite mixture of point masses on R^d (covers the stochastic block
     model case: one atom per block).
 
+    dimension is an integer (int or numpy integer) of at least 1, and
     atoms is a sequence of (point, weight) pairs. Weights must be positive
     and sum to 1 within 1e-12; every pairwise inner product of atoms
     (including an atom with itself) must lie in [0, 1] so that all edge
@@ -39,7 +41,10 @@ class LatentDistribution:
     """
 
     def __init__(self, dimension, atoms):
-        dimension = int(dimension)
+        try:  # a float such as 2.9 is refused, never truncated
+            dimension = operator.index(dimension)
+        except TypeError:
+            raise ConfigError("dimension must be an integer") from None
         if dimension < 1:
             raise ConfigError("dimension must be >= 1")
         if not atoms:
@@ -123,6 +128,17 @@ _FILL_BLOCK_ROWS = 256
 _MAPPED_MIN_BYTES = 32 * 2**20
 _HUGE_PAGE = 2 * 2**20
 _SMALL_PAGE_FILL = 3 / 8
+
+# Largest graph order the program reads or draws (the functions here take
+# any): the header order io.read_edge_list accepts, `sample --n`, and each n
+# of a study that samples graphs, all checked before anything sized by the
+# order is allocated. Here the bit buffer of n(n-1)/2 bytes takes 200 MB and
+# the `to_dense` operand 3.2 GB, about 2.3 GB of it resident under the page
+# policy above. The header does not bound the reader's other memory, which
+# grows with the file (an edge line takes at least 4 bytes): the file's
+# bytes, read once; their int64 pairs, 16 bytes per edge line, held twice
+# while the windows' pairs are joined; and one window's temporaries.
+MAX_ORDER = 20_000
 
 
 def _triu_size(n):

@@ -78,6 +78,7 @@ BOUNDARY_FRACTION = 0.95
 
 # A row i is active when X-hat_i^T w is within ACTIVE_TOL of eps or 1 - eps.
 ACTIVE_TOL = 1e-9
+DEFAULT_EPS = 0.05  # eps wherever ml_oos, a study or the CLI is given none
 
 _ULP = np.finfo(float).eps
 
@@ -215,7 +216,7 @@ def _step_cap(s, p, pmin, pmax, lo, hi, skip):
     return _fraction_to_boundary(s, p, lo, hi, skip)
 
 
-def ml_oos(emb, a, eps=0.05):
+def ml_oos(emb, a, eps=DEFAULT_EPS):
     """Constrained maximum-likelihood out-of-sample estimate.
 
     Maximizes the concave log-likelihood over the box
@@ -299,6 +300,9 @@ def ml_oos(emb, a, eps=0.05):
     n_active = 0
     iterations = 0
 
+    def stalled(message):  # the report of an ascent stopped short at v
+        return NonConvergenceError(message, last_w=v / root,
+                                   iterations=iterations, grad_norm=pg_norm)
     for iterations in range(1, MAX_ITER + 1):
         grad = _gradient(u, avec, p)
 
@@ -343,10 +347,7 @@ def ml_oos(emb, a, eps=0.05):
             # would only creep: v is a maximizer to working precision
             break
         if slope <= 0.0:  # numerically possible only at (near-)stationarity
-            raise NonConvergenceError(
-                "search direction is not an ascent direction",
-                last_w=v / root, iterations=iterations, grad_norm=pg_norm,
-            )
+            raise stalled("search direction is not an ascent direction")
 
         # fraction-to-boundary cap: largest alpha keeping p strictly inside.
         # Active rows are excluded — along-face directions change them only
@@ -361,18 +362,12 @@ def ml_oos(emb, a, eps=0.05):
                 break
             alpha *= 0.5
         else:
-            raise NonConvergenceError(
-                "line search stalled before reaching stationarity",
-                last_w=v / root, iterations=iterations, grad_norm=pg_norm,
-            )
+            raise stalled("line search stalled before reaching stationarity")
         v, p = v_try, p_try
         value, pmin, pmax = at_try
     else:
-        raise NonConvergenceError(
-            f"no convergence in {MAX_ITER} iterations "
-            f"(projected gradient {pg_norm:.3e}, tol {tol:.3e})",
-            last_w=v / root, iterations=MAX_ITER, grad_norm=float(pg_norm),
-        )
+        raise stalled(f"no convergence in {MAX_ITER} iterations "
+                      f"(projected gradient {pg_norm:.3e}, tol {tol:.3e})")
 
     # Armijo accepts no step that lowers value or is NaN: value >= its start
     return OosEstimate(

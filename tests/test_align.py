@@ -68,6 +68,9 @@ def test_procrustes_result_validates_orthogonality():
         ProcrustesResult(rotation=np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(ConfigError, match="orthogonal"):
         ProcrustesResult(rotation=np.full((2, 2), np.nan))
+    # orthonormal columns alone do not make a rotation
+    with pytest.raises(ConfigError, match="square"):
+        ProcrustesResult(rotation=np.eye(3)[:, :2])
 
 
 def test_clt_rotation_agrees_with_procrustes_on_fixture():

@@ -6,24 +6,29 @@ exit-code contract: 0 success, 2 config, 3 degeneracy, 4 solver, 5 I/O.
 """
 
 import importlib
+import inspect
 import json
 import os
 import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import oos_ase.cli as cli
+import oos_ase.experiments as experiments
 import oos_ase.oos as oos
 from oos_ase import io
-from oos_ase.cli import main
+from oos_ase.cli import build_parser, main
 from oos_ase.embedding import ase
 from oos_ase.errors import ConfigError, FileFormatError
-from oos_ase.experiments import TrialRecord
+from oos_ase.experiments import STUDIES, ExperimentConfig, TrialRecord
 from oos_ase.model import (
+    MAX_ORDER,
     AdjacencyMatrix,
     LatentDistribution,
     as_generator,
@@ -348,6 +353,44 @@ def test_distribution_read_errors(tmp_path):
     with pytest.raises(ConfigError, match="atom 0 needs"):
         io.read_distribution(path)
 
+    # a field of the wrong JSON type is refused, never converted: before,
+    # a dimension of 2.9 ran as 2, and "2" or a weight "0.4" as numbers
+    for field, value, message in _WRONG_TYPES:
+        path.write_text(json.dumps(_spec_with(field, value)))
+        with pytest.raises(ConfigError, match=message):
+            io.read_distribution(path)
+
+
+# (field, value, message) of a mixture_2d spec with one field of the wrong
+# JSON type; the field is "dimension", or "weight" or "point" of atom 0, or
+# "coordinate", the first entry of atom 0's point.
+_WRONG_TYPES = [
+    ("dimension", value, "'dimension' must be an integer")
+    for value in (2.9, 2.0, "2", True, None)
+] + [
+    ("weight", value, "atom 0 'weight' must be a number")
+    for value in ("0.4", True, None, [0.4])
+] + [
+    ("coordinate", value, "atom 0 'point' must be a list of numbers")
+    for value in ("0.2", True, None, [0.2])
+] + [
+    ("point", value, "atom 0 'point' must be a list of numbers")
+    for value in (0.2, "0.2, 0.7", None)
+]
+
+
+def _spec_with(field, value):
+    """MIX_SPEC with one field set to value (see _WRONG_TYPES)."""
+    spec = json.loads(json.dumps(MIX_SPEC))
+    atom = spec["atoms"][0]
+    if field == "dimension":
+        spec["dimension"] = value
+    elif field == "coordinate":
+        atom["point"][0] = value
+    else:
+        atom[field] = value
+    return spec
+
 
 def test_trials_csv_round_trip(tmp_path):
     """Records to the exact bytes of trials.csv: the header, 17 significant
@@ -505,6 +548,16 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert rc == 2
     assert "--n must be >= 1" in capsys.readouterr().err
 
+    # a spec field of the wrong JSON type exits with 2 before any output
+    typed = tmp_path / "typed.json"
+    for field, value, message in _WRONG_TYPES:
+        typed.write_text(json.dumps(_spec_with(field, value)))
+        rc = main(["sample", "--spec", str(typed), "--n", "10",
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     # a NaN weight is no weight, in sampling and in studies alike
     nan_spec = tmp_path / "nan.json"
     nan_spec.write_text(json.dumps({
@@ -601,6 +654,74 @@ def test_cli_embed_header_order_out_of_range_exit_5(tmp_path, capsys, order):
     assert f"order {order} in header outside [1, {io.MAX_ORDER}]" in (
         capsys.readouterr().err
     )
+
+
+def _no_sampling(*args, **kwargs):
+    raise AssertionError("latent positions drawn")
+
+
+@pytest.mark.parametrize("order", ["20001", "1000000000000"])
+def test_cli_sample_order_above_max_exit_2(tmp_path, capsys, monkeypatch,
+                                           order):
+    """An order above MAX_ORDER, which read_edge_list would refuse, is
+    refused before the output directory is made or anything is drawn.
+    Before, 10^12 made the directory and then failed on a 4 TiB array."""
+    monkeypatch.setattr(cli, "sample_latents", _no_sampling)
+    spec = _write_mix_spec(tmp_path)
+    out = tmp_path / "run"
+    tracemalloc.start()
+    try:
+        rc = main(["sample", "--spec", spec, "--n", order, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert f"--n must be >= 1 and <= {MAX_ORDER}" in capsys.readouterr().err
+    assert not out.exists()
+    assert peak < 2**20
+
+
+def test_cli_study_order_above_max_exit_2(tmp_path, capsys, monkeypatch):
+    """Each n of a study that samples graphs is at most MAX_ORDER, checked
+    before any trial; the ratio study samples none and takes any n."""
+    monkeypatch.setattr(experiments, "sample_latents", _no_sampling)
+    mix_2d = os.path.join(PRESET_DIR, "mixture_2d.json")
+    out = tmp_path / "z"
+    for study, n in (("rate", "100,200,400,20001"), ("clt-ls", "20001"),
+                     ("clt-ml", "3000000")):
+        rc = main(["experiment", "--study", study, "--spec", mix_2d,
+                   "--n", n, "--trials", "1", "--out", str(out)])
+        assert rc == 2
+        assert (f"n_grid entries must be <= {MAX_ORDER}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+    # the bound itself is accepted
+    ExperimentConfig(study="clt_ls", dist=MIX, n_grid=(MAX_ORDER,))
+    ratio_spec = os.path.join(PRESET_DIR, "classify_1d.json")
+    assert main(["experiment", "--study", "ratio", "--spec", ratio_spec,
+                 "--n", "100000", "--m-grid", "1,10", "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["n_grid"] == [100000]
+
+
+def test_default_eps_is_one_constant():
+    """ml_oos, ExperimentConfig and both commands that take --eps read
+    their default from oos.DEFAULT_EPS."""
+    assert inspect.signature(ml_oos).parameters["eps"].default is oos.DEFAULT_EPS
+    assert ExperimentConfig.__dataclass_fields__["epsilon"].default \
+        is oos.DEFAULT_EPS
+    parser = build_parser()
+    args = parser.parse_args(["oos", "--embedding", "e", "--edges", "a",
+                              "--method", "ml"])
+    assert args.eps is oos.DEFAULT_EPS
+    args = parser.parse_args(["experiment", "--study", "ratio", "--spec", "s",
+                              "--n", "100", "--out", "o"])
+    assert args.eps is oos.DEFAULT_EPS
+
+
+def test_cli_studies_are_the_study_table():
+    """Every study the CLI names has a runner in experiments.STUDIES, and
+    every runner a CLI name."""
+    assert sorted(cli._STUDY_NAMES.values()) == sorted(STUDIES)
 
 
 def test_cli_undecodable_input_exit_codes(tmp_path, capsys):

@@ -41,6 +41,9 @@ def _records_equal(a, b):
 def test_config_validation(monkeypatch):
     with pytest.raises(ConfigError, match="unknown study"):
         ExperimentConfig(study="bogus")
+    with pytest.raises(ConfigError, match="n_grid entries must be <= 20000"):
+        ExperimentConfig(study="rate_sweep", dist=MIX,
+                         n_grid=(100, 200, 400, 20001))
     with pytest.raises(ConfigError, match="single n"):
         ExperimentConfig(study="clt_ls", dist=MIX, n_grid=(50, 100), trials=2)
     with pytest.raises(ConfigError, match="strictly increasing"):

@@ -1,6 +1,7 @@
 """Every name a library module imports is used in it, every public function
 it defines has a caller in the program, no module reads another's private
-names, and every name the benchmark traces exists.
+names, every dataclass that holds arrays compares by identity, and every
+name the benchmark traces exists.
 
 No linter runs over this repository, so this is what stops a deletion from
 leaving an orphan import behind, and a test from being a function's only
@@ -124,6 +125,49 @@ def test_uncalled_functions_are_used_by_the_acceptance_suite():
             for node in ast.walk(tree)
             if isinstance(node, (ast.Name, ast.Attribute))}
     assert {name.rsplit(".", 1)[1] for name in UNCALLED} <= used
+
+
+def array_dataclasses_with_eq(source):
+    """Names of the @dataclass classes in source that have a field whose
+    annotation names np.ndarray and do not pass eq=False. Their generated
+    __eq__ compares the arrays of two instances as a tuple, which raises
+    ValueError (an array's truth value is ambiguous), and eq=True without
+    frozen=True also sets __hash__ to None."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        arrays = any(isinstance(item, ast.AnnAssign)
+                     and "np.ndarray" in ast.unparse(item.annotation)
+                     for item in node.body)
+        for deco in node.decorator_list:
+            call = deco if isinstance(deco, ast.Call) else None
+            name = _dotted(call.func if call else deco)
+            if name not in ("dataclass", "dataclasses.dataclass"):
+                continue
+            eq_false = call is not None and any(
+                k.arg == "eq" and isinstance(k.value, ast.Constant)
+                and k.value.value is False for k in call.keywords)
+            if arrays and not eq_false:
+                found.append(node.name)
+    return sorted(found)
+
+
+def test_array_dataclasses_with_eq_are_found():
+    source = ("import dataclasses\nimport numpy as np\n"
+              "@dataclass\nclass A:\n    x: np.ndarray\n"
+              "@dataclass(frozen=True)\nclass B:\n    x: np.ndarray | None\n"
+              "@dataclass(frozen=True, eq=False)\nclass C:\n    x: np.ndarray\n"
+              "@dataclass\nclass D:\n    x: float\n"
+              "@dataclasses.dataclass(eq=True)\nclass E:\n"
+              "    n: int\n    x: list[np.ndarray]\n")
+    assert array_dataclasses_with_eq(source) == ["A", "B", "E"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_array_dataclasses_compare_by_identity(module):
+    with open(os.path.join(SRC, module)) as fh:
+        assert array_dataclasses_with_eq(fh.read()) == []
 
 
 def _private(name):

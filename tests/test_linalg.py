@@ -281,6 +281,14 @@ def test_eigenpairs_type_rejects_unsorted_and_nonorthonormal():
         EigenPairs(values=np.array([2.0, np.nan]), vectors=np.eye(2))
 
 
+def test_eigenpairs_compare_by_identity():
+    # a generated __eq__ over the arrays raised ValueError, and hash TypeError
+    pair = EigenPairs(values=np.array([2.0, 1.0]), vectors=np.eye(2))
+    twin = EigenPairs(values=np.array([2.0, 1.0]), vectors=np.eye(2))
+    assert pair == pair and pair != twin
+    assert len({pair, twin}) == 2
+
+
 def test_lstsq_identity_design():
     assert np.allclose(lstsq(np.eye(2), np.array([3.0, 4.0])), [3.0, 4.0])
 

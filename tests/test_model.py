@@ -39,6 +39,15 @@ def test_distribution_rejects_bad_weights():
         LatentDistribution(1, [((0.5,), float("inf")), ((0.4,), 1.0)])
 
 
+def test_distribution_dimension_is_an_integer():
+    # 2.9 ran as dimension 2 before; an integral float is refused too
+    for dimension in (2.9, 2.0, "2", None):
+        with pytest.raises(ConfigError, match="dimension must be an integer"):
+            LatentDistribution(dimension, [((0.2, 0.7), 0.4),
+                                           ((0.65, 0.3), 0.6)])
+    assert LatentDistribution(np.int64(2), [((0.2, 0.7), 1.0)]).dimension == 2
+
+
 def test_distribution_rejects_infeasible_gram_and_names_pair():
     with pytest.raises(ModelViolationError, match=r"at index \(0, 0\)"):
         LatentDistribution(2, [((1.2, 0.0), 1.0)])
