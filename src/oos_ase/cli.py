@@ -20,7 +20,7 @@ from .errors import ConfigError, OosAseError, SolverError
 from .experiments import ExperimentConfig, run_study
 from .model import (MAX_ORDER, as_generator, sample_adjacency,
                     sample_latents, sample_oos_edges)
-from .oos import DEFAULT_EPS, lls_oos, ml_oos
+from .oos import DEFAULT_EPS, check_eps, lls_oos, ml_oos
 from .theory import ClassifySpec
 
 
@@ -61,6 +61,7 @@ def cmd_embed(args):
 def cmd_oos(args):
     emb = io.read_embedding(args.embedding + ".csv", args.embedding + ".json")
     edges = io.read_edge_vector(args.edges)
+    check_eps(args.eps)  # one --eps rule for both methods
     if args.method == "ls":
         est = lls_oos(emb, edges)
     else:
@@ -78,26 +79,18 @@ _STUDY_NAMES = {
 
 
 def cmd_experiment(args):
-    study = _STUDY_NAMES[args.study]
     dist = io.read_distribution(args.spec)
     if args.wbar_atom is not None and not 0 <= args.wbar_atom < dist.n_atoms:
         raise ConfigError(f"--wbar-atom {args.wbar_atom} out of range")
-    kwargs = dict(
-        study=study,
-        n_grid=args.n,
-        trials=args.trials,
-        epsilon=args.eps,
-        master_seed=args.seed,
-        workers=args.workers,
+    cfg = ExperimentConfig(
+        study=_STUDY_NAMES[args.study], dist=dist,
+        # only the ratio study reads a ClassifySpec, which needs two atoms
+        spec=ClassifySpec.from_distribution(dist) if args.study == "ratio" else None,
+        n_grid=args.n, trials=args.trials, epsilon=args.eps,
+        master_seed=args.seed, workers=args.workers,
+        wbar=None if args.wbar_atom is None else dist.points[args.wbar_atom],
+        m_grid=args.m_grid or (),
     )
-    if study == "error_ratio":
-        kwargs["spec"] = ClassifySpec.from_distribution(dist)
-        kwargs["m_grid"] = args.m_grid or ()
-    else:
-        kwargs["dist"] = dist
-        if args.wbar_atom is not None:
-            kwargs["wbar"] = dist.points[args.wbar_atom]
-    cfg = ExperimentConfig(**kwargs)
     result = run_study(cfg)
     io.write_study(result, args.out)
     print(io.json_text(result.summary))

@@ -1,14 +1,17 @@
 """Seeded Monte-Carlo studies: CLT scatter, convergence-rate sweep, and the
 analytic error-ratio curves.
 
-Every trial derives its own counter-based RNG substream from
-(master_seed, trial identity), so results are byte-identical no matter how
-many workers run them or in which order they finish. With workers > 1 the
-trials run in that many forked processes (a rate sweep hands out its
-largest graphs first), and the records come back in trial order. Each
-process runs its own BLAS thread pool, so set OPENBLAS_NUM_THREADS=1 when
-workers fill the cores; on Python >= 3.12, forking a process that has live
-BLAS threads emits a DeprecationWarning. A platform without fork refuses
+A study is a frozen ExperimentConfig, validated once when it is built, and
+a fold over its trial records. Both Monte-Carlo studies run their trials
+through one runner, `_run_trials`: it calls the study's trial function on
+each key, last key first (a rate sweep's largest graphs), and returns the
+records in key order. Every trial derives its own counter-based RNG
+substream from (master_seed, trial key), so results are byte-identical no
+matter how many workers run them or in which order they finish. With
+workers > 1 the trials run in that many forked processes. Each process
+runs its own BLAS thread pool, so set OPENBLAS_NUM_THREADS=1 when workers
+fill the cores; on Python >= 3.12, forking a process that has live BLAS
+threads emits a DeprecationWarning. A platform without fork refuses
 workers > 1. Studies never abort on a failed trial; failures are recorded
 and reported in the summary, and the summary itself is a pure fold over the
 trial records (recomputable from the persisted records alone).
@@ -47,7 +50,7 @@ def _grid(name, values):
     return grid
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     study: str
     dist: LatentDistribution | None = None
@@ -63,7 +66,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.study not in STUDIES:
             raise ConfigError(f"unknown study {self.study!r}")
-        self.n_grid = _grid("n_grid", self.n_grid)
+        object.__setattr__(self, "n_grid", _grid("n_grid", self.n_grid))
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.workers < 1:
@@ -78,9 +81,9 @@ class ExperimentConfig:
                 raise ConfigError("error_ratio study needs a ClassifySpec")
             if not self.n_grid:
                 raise ConfigError("error_ratio study needs n_grid")
-            self.m_grid = _grid("m_grid", self.m_grid) or tuple(
-                range(1, 101)
-            ) + tuple(int(v) for v in np.unique(np.logspace(2.1, 4, 40).astype(int)))
+            m_grid = _grid("m_grid", self.m_grid) or tuple(range(1, 101)) + tuple(
+                int(v) for v in np.unique(np.logspace(2.1, 4, 40).astype(int)))
+            object.__setattr__(self, "m_grid", m_grid)
         else:
             if self.dist is None:
                 raise ConfigError(f"{self.study} study needs a LatentDistribution")
@@ -94,7 +97,8 @@ class ExperimentConfig:
             if self.n_grid[-1] > MAX_ORDER:  # the largest graph drawn
                 raise ConfigError(f"n_grid entries must be <= {MAX_ORDER}")
             if self.wbar is not None:
-                self.wbar = np.asarray(self.wbar, dtype=float).ravel()
+                object.__setattr__(self, "wbar",
+                                   np.asarray(self.wbar, dtype=float).ravel())
                 self.dist.edge_probabilities(self.wbar)  # fail before trials
 
 
@@ -124,29 +128,34 @@ def _substream(master_seed, *key):
     return np.random.Generator(np.random.Philox(seq))
 
 
-_trial = None  # a forked worker's trial callable, set by _start_worker
+# (trial, cfg) of the study whose workers are being forked; they inherit
+# it. One study forks at a time: forking a threaded process is unsafe.
+_job = None
 
 
-def _start_worker(fn):
-    global _trial
-    _trial = fn
+def _call_job(key):
+    trial, cfg = _job
+    return trial(cfg, key)
 
 
-def _call_trial(key):
-    return _trial(key)
+def _run_trials(cfg, trial, keys):
+    """Every record of trial(cfg, key) for the keys, in key order.
 
-
-def _map_trials(fn, keys, workers):
-    """[fn(k) for k in keys], in key order. With workers > 1 the keys go,
-    in the order given, to forked processes; fork hands each one fn without
-    pickling it (a closure included), so only keys and results are sent."""
-    if workers <= 1:
-        return [fn(k) for k in keys]
-    with ProcessPoolExecutor(max_workers=min(workers, len(keys)),
-                             mp_context=multiprocessing.get_context("fork"),
-                             initializer=_start_worker,
-                             initargs=(fn,)) as pool:
-        return list(pool.map(_call_trial, keys))
+    The keys go out last first, so with a rate sweep's increasing grid the
+    trials left when workers run out of keys are the short ones. With
+    cfg.workers > 1 they go to forked processes, which inherit trial and
+    cfg through `_job`, so only keys and records are pickled.
+    """
+    global _job
+    keys = list(keys)[::-1]
+    if cfg.workers == 1:
+        groups = [trial(cfg, k) for k in keys]
+    else:
+        _job = (trial, cfg)
+        with ProcessPoolExecutor(min(cfg.workers, len(keys)),
+                                 multiprocessing.get_context("fork")) as pool:
+            groups = list(pool.map(_call_job, keys))
+    return [r for group in groups[::-1] for r in group]
 
 
 def _run_trial(cfg, index, n, rng, wbar, methods):
@@ -193,7 +202,7 @@ def _run_trial(cfg, index, n, rng, wbar, methods):
 def _clt_trial(cfg, index):
     method = "LS" if cfg.study == "clt_ls" else "ML"
     rng = _substream(cfg.master_seed, index)
-    return _run_trial(cfg, index, cfg.n_grid[0], rng, cfg.wbar, (method,))[0]
+    return _run_trial(cfg, index, cfg.n_grid[0], rng, cfg.wbar, (method,))
 
 
 def summarize_clt(cfg, records):
@@ -257,9 +266,7 @@ def summarize_clt(cfg, records):
 def _run_clt_study(cfg):
     """CLT scatter study: one graph + one OOS vertex per trial, aligned by
     that trial's Procrustes rotation against the true latent positions."""
-    records = _map_trials(
-        lambda i: _clt_trial(cfg, i), range(cfg.trials), cfg.workers
-    )
+    records = _run_trials(cfg, _clt_trial, range(cfg.trials))
     summary = summarize_clt(cfg, records)
     rows = [
         [cfg.dist.atom_index(r.wbar)] + [v for v in (r.rotation.T @ r.w)]
@@ -317,11 +324,7 @@ def _run_rate_sweep(cfg):
     """Convergence-rate sweep: both estimators on the same graph per trial,
     median aligned error per n, and the fitted log-log slope."""
     keys = [(ni, t) for ni in range(len(cfg.n_grid)) for t in range(cfg.trials)]
-    # largest graphs first (n_grid increases), so the trials left when the
-    # workers run out of keys are the short ones; records in key order
-    nested = _map_trials(lambda k: _rate_trial(cfg, k), keys[::-1],
-                         cfg.workers)[::-1]
-    records = [r for group in nested for r in group]
+    records = _run_trials(cfg, _rate_trial, keys)
     summary = summarize_rate(cfg, records)
     rows = [
         [e["n"], e["method"], e["median_error"]] for e in summary["per_n"]
@@ -334,12 +337,8 @@ def _run_rate_sweep(cfg):
 
 def _run_error_ratio(cfg):
     """Analytic error-ratio curves (no simulation): one curve per n."""
-    plotdata = {}
-    curves = {}
-    for n in cfg.n_grid:
-        curve = error_ratio_curve(cfg.spec, n, cfg.m_grid)
-        curves[str(n)] = [[m, r] for m, r in curve]
-        plotdata[f"ratio_n{n}"] = (["m", "ratio"], [[m, r] for m, r in curve])
+    curves = {str(n): [[m, r] for m, r in error_ratio_curve(cfg.spec, n, cfg.m_grid)]
+              for n in cfg.n_grid}
     summary = {
         "study": cfg.study,
         "spec": {"lam": cfg.spec.lam, "p": cfg.spec.p, "q": cfg.spec.q},
@@ -347,6 +346,7 @@ def _run_error_ratio(cfg):
         "m_grid": list(cfg.m_grid),
         "curves": curves,
     }
+    plotdata = {f"ratio_n{n}": (["m", "ratio"], rows) for n, rows in curves.items()}
     return StudyResult(cfg, [], summary, plotdata)
 
 

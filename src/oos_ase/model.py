@@ -201,7 +201,7 @@ class AdjacencyMatrix:
     unless they are bool, which can only be 0 or 1.
     """
 
-    __slots__ = ("n", "_packed")
+    __slots__ = ("_n", "_packed")
 
     def __init__(self, n, triu_bits):
         n = int(n)
@@ -216,8 +216,13 @@ class AdjacencyMatrix:
             if bits.size and not np.isin(bits, (0, 1)).all():
                 raise ConfigError("adjacency bits must be 0 or 1")
             bits = bits.astype(np.uint8)
-        self.n = n
+        self._n = n
         self._packed = np.packbits(bits)
+
+    @property
+    def n(self):
+        """Order of the graph, fixed at construction."""
+        return self._n
 
     @property
     def edge_count(self):

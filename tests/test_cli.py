@@ -886,6 +886,28 @@ def test_cli_infeasible_box_exit_4(tmp_path, capsys):
     assert "empty" in diag["message"]
 
 
+@pytest.mark.parametrize("method", ["ls", "ml"])
+def test_cli_oos_eps_out_of_range_exit_2(tmp_path, capsys, method):
+    """--eps follows one rule whichever method reads it: LS places
+    without a margin, yet refuses one outside (0, 1/2) as ML does."""
+    spec = _write_mix_spec(tmp_path)
+    out = tmp_path / "run"
+    assert main(["sample", "--spec", spec, "--n", "100", "--seed", "0",
+                 "--out", str(out)]) == 0
+    prefix = str(out / "emb")
+    assert main(["embed", "--graph", str(out / "graph.txt"), "--dim", "2",
+                 "--out", prefix]) == 0
+    capsys.readouterr()
+    for eps in ("0", "0.5", "0.7"):
+        rc = main(["oos", "--embedding", prefix, "--edges",
+                   str(out / "oos_edges.csv"), "--method", method,
+                   "--eps", eps])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "eps must lie in (0, 1/2)" in captured.err
+
+
 def test_cli_solver_failure_reports_last_iterate(tmp_path, capsys,
                                                  monkeypatch):
     """A solver that stops short exits 4 with one JSON line on stderr that

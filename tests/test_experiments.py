@@ -1,3 +1,4 @@
+import dataclasses
 import multiprocessing
 
 import numpy as np
@@ -80,6 +81,21 @@ def test_config_validation(monkeypatch):
     with pytest.raises(ConfigError, match="fork start method"):
         ExperimentConfig(study="clt_ls", dist=MIX, n_grid=(50,), workers=2)
     ExperimentConfig(study="clt_ls", dist=MIX, n_grid=(50,), workers=1)
+
+
+def test_config_is_validated_once_and_frozen():
+    # a field set after validation skipped every check: n_grid = (10**12,)
+    # ended in a 7.28 TiB MemoryError, an unknown study in a KeyError
+    cfg = ExperimentConfig(study="clt_ls", dist=MIX, n_grid=(50,), trials=2,
+                           wbar=[[0.2], [0.7]])
+    for field, value in (("n_grid", (10**12,)), ("study", "bogus")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field, value)
+    # the normalized fields hold what validation checked
+    assert cfg.n_grid == (50,) and cfg.study == "clt_ls"
+    assert cfg.wbar.shape == (2,)
+    assert ExperimentConfig(study="error_ratio", spec=SPEC, n_grid=[100],
+                            m_grid=[1, 5]).m_grid == (1, 5)
 
 
 def test_substreams_are_keyed_and_reproducible():

@@ -1,7 +1,8 @@
 """Every name a library module imports is used in it, every public function
 it defines has a caller in the program, no module reads another's private
-names, every dataclass that holds arrays compares by identity, and every
-name the benchmark traces exists.
+names, every dataclass that holds arrays compares by identity, every
+dataclass that validates is frozen, and every name the benchmark traces
+exists.
 
 No linter runs over this repository, so this is what stops a deletion from
 leaving an orphan import behind, and a test from being a function's only
@@ -127,30 +128,36 @@ def test_uncalled_functions_are_used_by_the_acceptance_suite():
     assert {name.rsplit(".", 1)[1] for name in UNCALLED} <= used
 
 
+def _dataclass_flags(node):
+    """{keyword: constant} of the @dataclass decorator of the class node
+    (an empty dict for a bare @dataclass), None if it has none."""
+    for deco in node.decorator_list:
+        call = deco if isinstance(deco, ast.Call) else None
+        if _dotted(call.func if call else deco) in ("dataclass",
+                                                     "dataclasses.dataclass"):
+            return {k.arg: getattr(k.value, "value", None)
+                    for k in (call.keywords if call else ())}
+    return None
+
+
+def _dataclasses(source):
+    """(class node, its @dataclass flags) of each dataclass in source."""
+    return [(node, flags) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef)
+            and (flags := _dataclass_flags(node)) is not None]
+
+
 def array_dataclasses_with_eq(source):
     """Names of the @dataclass classes in source that have a field whose
     annotation names np.ndarray and do not pass eq=False. Their generated
     __eq__ compares the arrays of two instances as a tuple, which raises
     ValueError (an array's truth value is ambiguous), and eq=True without
     frozen=True also sets __hash__ to None."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        arrays = any(isinstance(item, ast.AnnAssign)
-                     and "np.ndarray" in ast.unparse(item.annotation)
-                     for item in node.body)
-        for deco in node.decorator_list:
-            call = deco if isinstance(deco, ast.Call) else None
-            name = _dotted(call.func if call else deco)
-            if name not in ("dataclass", "dataclasses.dataclass"):
-                continue
-            eq_false = call is not None and any(
-                k.arg == "eq" and isinstance(k.value, ast.Constant)
-                and k.value.value is False for k in call.keywords)
-            if arrays and not eq_false:
-                found.append(node.name)
-    return sorted(found)
+    return sorted(node.name for node, flags in _dataclasses(source)
+                  if flags.get("eq") is not False
+                  and any(isinstance(item, ast.AnnAssign)
+                          and "np.ndarray" in ast.unparse(item.annotation)
+                          for item in node.body))
 
 
 def test_array_dataclasses_with_eq_are_found():
@@ -168,6 +175,38 @@ def test_array_dataclasses_with_eq_are_found():
 def test_array_dataclasses_compare_by_identity(module):
     with open(os.path.join(SRC, module)) as fh:
         assert array_dataclasses_with_eq(fh.read()) == []
+
+
+def mutable_validating_dataclasses(source):
+    """Names of the @dataclass classes in source that define __post_init__
+    and do not pass frozen=True. Their checks run once, at construction,
+    so a field set afterwards skips every one of them."""
+    return sorted(node.name for node, flags in _dataclasses(source)
+                  if flags.get("frozen") is not True
+                  and any(isinstance(item, ast.FunctionDef)
+                          and item.name == "__post_init__"
+                          for item in node.body))
+
+
+def test_mutable_validating_dataclasses_are_found():
+    source = ("import dataclasses\n"
+              "@dataclass\nclass A:\n    x: int\n"
+              "    def __post_init__(self):\n        pass\n"
+              "@dataclass(eq=False)\nclass B:\n    x: int\n"
+              "    def __post_init__(self):\n        pass\n"
+              "@dataclass(frozen=True, eq=False)\nclass C:\n    x: int\n"
+              "    def __post_init__(self):\n        pass\n"
+              "@dataclass\nclass D:\n    x: int\n"
+              "@dataclasses.dataclass(frozen=False)\nclass E:\n    x: int\n"
+              "    def __post_init__(self):\n        pass\n"
+              "class F:\n    def __post_init__(self):\n        pass\n")
+    assert mutable_validating_dataclasses(source) == ["A", "B", "E"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_validating_dataclasses_are_frozen(module):
+    with open(os.path.join(SRC, module)) as fh:
+        assert mutable_validating_dataclasses(fh.read()) == []
 
 
 def _private(name):

@@ -88,6 +88,18 @@ def test_adjacency_structure():
     assert from_dense(dense) == a
 
 
+def test_adjacency_order_is_read_only():
+    # a.n = 400 on an order-300 graph once made ase end in numpy's
+    # "boolean array indexing assignment" ValueError, and edges() return
+    # pairs of the wrong order without an error
+    a = sample_adjacency(sample_latents(MIX, 30, seed=5), seed=6)
+    pairs = a.edges()
+    with pytest.raises(AttributeError):
+        a.n = 40
+    assert a.n == 30
+    assert np.array_equal(a.edges(), pairs)
+
+
 def test_adjacency_all_zero_all_one():
     n = 7
     size = n * (n - 1) // 2

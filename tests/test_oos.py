@@ -96,17 +96,23 @@ def _assert_within_bound(emb, a, est1, est2):
 
 def _assert_beats_probes(emb, a, est, eps, radius, rng, hits=200):
     """est.objective is at least the log-likelihood of `hits` random
-    feasible points around est.w. A probe moves each w_j by at most
-    radius_j * sqrt(n) / |x_:j|, which moves p by about radius_j."""
+    feasible points around est.w, found in at most 100 * hits draws. A
+    probe moves each w_j by at most radius_j * sqrt(n) / |x_:j|, which
+    moves p by about radius_j."""
     x = emb.positions
     av = np.asarray(a, dtype=float)
     scale = np.sqrt(emb.n) / np.linalg.norm(x, axis=0)
-    while hits:
+    left = hits
+    for _ in range(100 * hits):
         pt = x @ (est.w + rng.uniform(-1, 1, emb.d) * radius * scale)
         if pt.min() >= eps and pt.max() <= 1 - eps:
             val = float(av @ np.log(pt) + (1 - av) @ np.log1p(-pt))
             assert est.objective >= val - 1e-12
-            hits -= 1
+            left -= 1
+            if not left:
+                return
+    raise AssertionError(f"{hits - left} of {hits} probes feasible in "
+                         f"{100 * hits} draws")
 
 
 def _mix_embedding(n, seed):
