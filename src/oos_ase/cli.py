@@ -79,6 +79,12 @@ _STUDY_NAMES = {
 
 
 def cmd_experiment(args):
+    # an option the study never reads is refused, not ignored
+    if args.m_grid is not None and args.study != "ratio":
+        raise ConfigError(f"--m-grid applies only to the ratio study, "
+                          f"not {args.study}")
+    if args.wbar_atom is not None and args.study == "ratio":
+        raise ConfigError("--wbar-atom does not apply to the ratio study")
     dist = io.read_distribution(args.spec)
     if args.wbar_atom is not None and not 0 <= args.wbar_atom < dist.n_atoms:
         raise ConfigError(f"--wbar-atom {args.wbar_atom} out of range")

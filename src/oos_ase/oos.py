@@ -16,10 +16,9 @@ path passes a = X w-bar directly and both estimators recover w-bar exactly.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 
 import numpy as np
-import scipy.optimize
 
 from .errors import (
     ConfigError,
@@ -30,7 +29,6 @@ from .errors import (
 from .model import EdgeVector
 
 
-@dataclass(frozen=True, eq=False)
 class OosEstimate:
     """A d-vector estimate with method tag and solver diagnostics.
 
@@ -39,28 +37,56 @@ class OosEstimate:
     keeps a float64 ndarray as the same object and converts anything else;
     every entry is then tested with math.isfinite, and a non-finite one
     raises SolverError.
+
+    Fields:
+      w                   the estimate, (d,)
+      method              "LS" or "ML"
+      iterations          Newton iterations (ML), else 0
+      grad_norm           final projected-gradient norm (ML), in the frame
+                          v = S^{1/2} w; an estimate with no active
+                          constraint lies within grad_norm / sqrt(lambda_d)
+                          of the maximizer (see ml_oos)
+      active_constraints  box rows active at w (ML)
+      objective           log-likelihood at w (ML only), else None. It and
+                          grad_norm are evaluated at p = U v, which equals
+                          X-hat w only up to rounding, so likelihood() at
+                          the returned w may differ from them in the last
+                          digits.
+
+    Immutable like a frozen dataclass: setting or deleting any attribute
+    raises dataclasses.FrozenInstanceError. Equality and hashing are by
+    identity. The constructor writes the fields straight into the instance
+    dict, so building the estimate costs an LS call one Python frame.
     """
 
-    w: np.ndarray
-    method: str  # "LS" or "ML"
-    iterations: int = 0
-    # final projected-gradient norm (ML), in the frame v = S^{1/2} w; an
-    # estimate with no active constraint lies within grad_norm / sqrt(lambda_d)
-    # of the maximizer (see ml_oos)
-    grad_norm: float = 0.0
-    active_constraints: int = 0
-    # log-likelihood at w (ML only). It and grad_norm are evaluated at
-    # p = U v, which equals X-hat w only up to rounding, so likelihood() at
-    # the returned w may differ from them in the last digits.
-    objective: float | None = None
+    __match_args__ = ("w", "method", "iterations", "grad_norm",
+                      "active_constraints", "objective")
 
-    def __post_init__(self):
+    def __init__(self, w, method, iterations=0, grad_norm=0.0,
+                 active_constraints=0, objective=None):
         # np.asarray returns a float64 ndarray itself; and w has d entries,
         # which math.isfinite tests faster than one np.isfinite call
-        w = np.asarray(self.w, dtype=float)
+        w = np.asarray(w, dtype=float)
         if not all(map(math.isfinite, w.ravel().tolist())):
             raise SolverError("estimate contains non-finite entries")
-        object.__setattr__(self, "w", w)
+        fields = self.__dict__
+        fields["w"] = w
+        fields["method"] = method
+        fields["iterations"] = iterations
+        fields["grad_norm"] = grad_norm
+        fields["active_constraints"] = active_constraints
+        fields["objective"] = objective
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
 
 
 # The interior ascent stops once the slope grad @ direction, about twice
@@ -114,7 +140,7 @@ def lls_oos(emb, a):
     """
     u = emb.eig.vectors
     avec = _edge_values(a, u.shape[0])
-    return OosEstimate(w=(u.T @ avec) / emb.root, method="LS")
+    return OosEstimate((u.T @ avec) / emb.root, "LS")
 
 
 def _value(avec, bvec, p):
@@ -164,6 +190,10 @@ def likelihood(emb, a, w):
 def _chebyshev_point(x, lo, hi):
     """Deepest interior point of {w : lo <= x_i^T w <= hi}: maximize t
     subject to lo + t <= x_i^T w <= hi - t (a linear program)."""
+    # imported here, as only ML placement uses scipy.optimize: the CLI's
+    # sample and embed start without it
+    import scipy.optimize
+
     n, d = x.shape
     c = np.zeros(d + 1)
     c[-1] = -1.0
@@ -317,6 +347,8 @@ def ml_oos(emb, a, eps=DEFAULT_EPS):
             active = act_lo | act_hi
             n_active = int(act_lo.sum() + act_hi.sum())
             normals = np.concatenate([u[act_lo], -u[act_hi]]).T  # d x m
+            import scipy.optimize  # see _chebyshev_point
+
             lam, _ = scipy.optimize.nnls(normals, -grad)
             resid = grad + normals @ lam
         # the residual in w is root * resid: within tol in both frames

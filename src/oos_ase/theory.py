@@ -17,7 +17,6 @@ rate; those drive the in-sample vs out-of-sample trade-off curve.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import chdtri, erfc
 
 from .errors import ConfigError, DegeneracyError, ThresholdError
 from .model import LatentDistribution
@@ -25,14 +24,20 @@ from .model import LatentDistribution
 
 def norm_cdf(z):
     """Standard normal CDF via erfc (absolute error well below 1e-14)."""
-    return 0.5 * erfc(-np.asarray(z, dtype=float) / np.sqrt(2.0))
+    # scipy.special is imported where it is used, so that importing the
+    # CLI, which reads only ClassifySpec from here, does not load it
+    import scipy.special
+
+    return 0.5 * scipy.special.erfc(-np.asarray(z, dtype=float) / np.sqrt(2.0))
 
 
 def chi2_quantile(qlevel, df):
     """Quantile of the chi-square distribution with df degrees of freedom."""
     if not 0.0 < qlevel < 1.0:
         raise ConfigError("quantile level must be in (0, 1)")
-    return float(chdtri(df, 1.0 - qlevel))
+    import scipy.special  # see norm_cdf
+
+    return float(scipy.special.chdtri(df, 1.0 - qlevel))
 
 
 def delta(dist):

@@ -984,12 +984,10 @@ def test_cli_experiment_workers_identical(tmp_path, capsys):
 
 def test_cli_experiment_wbar_atom(tmp_path, capsys):
     spec = _write_mix_spec(tmp_path)
-    # every study checks the atom, the ratio study too, which has no use
-    # for it
-    ratio_spec = os.path.join(PRESET_DIR, "classify_1d.json")
+    # every study that draws an OOS vertex checks the atom; the ratio study
+    # refuses the option (test_cli_experiment_refuses_unread_options)
     for study, path, n in (("clt-ls", spec, "50"), ("clt-ml", spec, "50"),
-                           ("rate", spec, "20,30,40,50"),
-                           ("ratio", ratio_spec, "100")):
+                           ("rate", spec, "20,30,40,50")):
         for atom in ("5", "7", "-1"):
             rc = main(["experiment", "--study", study, "--spec", path,
                        "--n", n, "--trials", "2", "--wbar-atom", atom,
@@ -1004,6 +1002,33 @@ def test_cli_experiment_wbar_atom(tmp_path, capsys):
     assert rc == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["trials"] == 3
+
+
+def test_cli_experiment_refuses_unread_options(tmp_path, capsys, monkeypatch):
+    # --m-grid is read by the ratio study alone, and --wbar-atom by every
+    # study but it: either one elsewhere exits 2, naming the option, before
+    # a study runs or any file is written
+    def no_study(cfg):
+        raise AssertionError("a study ran")
+
+    monkeypatch.setattr(cli, "run_study", no_study)
+    spec = _write_mix_spec(tmp_path)
+    ratio_spec = os.path.join(PRESET_DIR, "classify_1d.json")
+    out = tmp_path / "out"
+    cases = [([study, "--spec", spec, "--n", n, "--m-grid", grid], "--m-grid")
+             for study, n in (("clt-ls", "50"), ("clt-ml", "50"),
+                              ("rate", "20,30,40,50"))
+             for grid in ("0,-1", "1,10")]
+    cases += [(["ratio", "--spec", ratio_spec, "--n", "100", "--wbar-atom",
+                atom], "--wbar-atom") for atom in ("0", "1", "5", "-1")]
+    for args, option in cases:
+        rc = main(["experiment", "--study"] + args + ["--trials", "2",
+                                                      "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2, args
+        assert captured.err.startswith(f"error: {option} "), captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 def test_presets_load():

@@ -1,5 +1,8 @@
+import pickle
+import sys
 import time
 import tracemalloc
+from dataclasses import FrozenInstanceError
 from unittest import mock
 
 import numpy as np
@@ -246,6 +249,86 @@ def test_estimate_makes_other_inputs_float64_arrays():
 def test_estimate_keeps_a_float64_array_as_it_is():
     w = np.array([0.25, -3.0])
     assert OosEstimate(w=w, method="LS").w is w
+
+
+_FIELDS = ("w", "method", "iterations", "grad_norm", "active_constraints",
+           "objective")
+
+
+def _fields(est):
+    return [getattr(est, name) for name in _FIELDS]
+
+
+def _ml_estimate():
+    # -0.0 and a subnormal entry, whose bits a float round trip would show
+    return OosEstimate(np.array([-0.0, 5e-324, 0.375]), "ML", 7, 2.5e-9, 1,
+                       -123.25)
+
+
+def test_ls_call_enters_no_frame_beyond_its_constructor():
+    """A deterministic cost guard: one lls_oos call on an EdgeVector runs
+    three Python frames, itself, the edge cast and the estimate's __init__.
+    A frozen dataclass adds its generated __init__ and a __post_init__."""
+    x, emb = _gram_embedding(300, seed=3)
+    a = sample_oos_edges(x, MIX.points[0], seed=4)
+    lls_oos(emb, a)  # reads Embedding.root once, as the first call does
+    entered = []
+
+    def record(frame, event, arg):
+        if event == "call":
+            entered.append(frame.f_code.co_qualname)
+
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        lls_oos(emb, a)
+    finally:
+        sys.setprofile(previous)
+    assert entered == ["lls_oos", "_edge_values", "OosEstimate.__init__"]
+
+
+def test_estimate_refuses_assignment_and_deletion():
+    est = _ml_estimate()
+    before = _fields(est)
+    for name in _FIELDS + ("extra",):
+        with pytest.raises(FrozenInstanceError, match=f"field '{name}'"):
+            setattr(est, name, 1.0)
+        with pytest.raises(FrozenInstanceError, match=f"field '{name}'"):
+            delattr(est, name)
+    assert not hasattr(est, "extra")
+    assert all(x is y for x, y in zip(_fields(est), before))
+
+
+def test_estimate_compares_and_hashes_by_identity():
+    est = _ml_estimate()
+    twin = OosEstimate(*_fields(est))
+    assert est == est and est != twin and not est == twin
+    assert hash(est) == hash(est) == object.__hash__(est)
+    assert len({est, twin, est}) == 2
+
+
+def test_estimate_pickle_round_trip_keeps_every_field_and_bit():
+    for est in (_ml_estimate(), OosEstimate(np.array([0.5, 1e300]), "LS")):
+        back = pickle.loads(pickle.dumps(est))
+        assert type(back) is OosEstimate
+        assert back.w.dtype == np.float64 and back.w.shape == est.w.shape
+        assert back.w.tobytes() == est.w.tobytes()
+        assert _fields(back)[1:] == _fields(est)[1:]
+        with pytest.raises(FrozenInstanceError):
+            back.method = "LS"
+
+
+def test_estimate_by_keyword_and_by_position_agree():
+    w = np.array([0.25, -3.0])
+    by_name = OosEstimate(w=w, method="ML", iterations=7, grad_norm=2.5e-9,
+                          active_constraints=1, objective=-123.25)
+    by_place = OosEstimate(w, "ML", 7, 2.5e-9, 1, -123.25)
+    assert all(x is y for x, y in zip(_fields(by_name), _fields(by_place)))
+    assert _fields(OosEstimate(w, "LS")) == _fields(
+        OosEstimate(method="LS", w=w)) == [w, "LS", 0, 0.0, 0, None]
+    assert repr(by_place) == (
+        f"OosEstimate(w={w!r}, method='ML', iterations=7, grad_norm=2.5e-09, "
+        "active_constraints=1, objective=-123.25)")
 
 
 # ------------------------------------------------------------------ likelihood

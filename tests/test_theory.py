@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oos_ase import (
     ClassifySpec,
@@ -88,6 +90,31 @@ def test_sigma_clt_matches_hand_formula_1d():
     sp2, sq2 = SPEC.variances()
     assert sp2 == pytest.approx(sp2_hand, rel=1e-12)
     assert sq2 == pytest.approx(sq2_hand, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+def test_sigma_clt_matches_the_square_atom_identity(d, seed):
+    """With K = d atoms, rows of an invertible P, and weights W = diag(w),
+    Delta = P^T W P, so Sigma = P^-1 diag(p (1 - p)) W^-1 P^-T, p = P w-bar.
+    The 1-D hand test has no off-diagonal entry to check; this identity
+    checks every entry, its scale and each off-diagonal sign."""
+    rng = np.random.default_rng(seed)
+    # nonnegative rows of norm below 1, so every inner product lies in
+    # [0, 1], and a dominant diagonal keeps P well conditioned
+    pts = rng.uniform(0.0, 0.3, (d, d)) + 0.5 * np.eye(d)
+    pts *= rng.uniform(0.5, 1.0, (d, 1)) / np.linalg.norm(pts, axis=1,
+                                                         keepdims=True)
+    w = rng.uniform(0.1, 1.0, d)
+    w /= w.sum()
+    dist = LatentDistribution(d, [(row, wk) for row, wk in zip(pts, w)])
+    wbar = rng.dirichlet(np.ones(d)) @ pts
+    assert np.linalg.cond(dist.points) < 10.0
+    p = dist.points @ wbar
+    pinv = np.linalg.inv(dist.points)
+    expected = pinv @ np.diag(p * (1.0 - p) / dist.weights) @ pinv.T
+    np.testing.assert_allclose(sigma_clt(dist, wbar), expected, rtol=1e-10,
+                               atol=1e-10 * np.abs(expected).max())
 
 
 def test_classify_spec_variances_cached_without_changing_the_spec(monkeypatch):
